@@ -17,11 +17,9 @@ from .errors import (
     SingularMatrixError,
     StalledError,
 )
-from .lyapunov import dlyap, dlyap_diff, dlyap_kron_oracle, lyap_trace_check
+from .lyapunov import dlyap, dlyap_diff, lyap_trace_check
 from .numerics import (
-    fro,
     hermitian_lambda_max,
-    matmul,
     matrix_rank,
     solve_linear,
     spectral_norm,
@@ -33,7 +31,6 @@ from .policy_core import (
     ConstraintSubspace,
     DynamicPolicy,
     Frobenius,
-    KM,
     LyapunovMetric,
     Plant,
     StaticGain,

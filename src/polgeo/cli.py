@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 config error, 3 infeasible start, 4 stalled,
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import (
     PolgeoError,
     StalledError,
 )
-from .numerics import spectral_radius, sym_lambda_min
+from .numerics import spectral_radius
 from .policy_core import (
     ConstraintSubspace,
     DynamicPolicy,
@@ -32,7 +33,7 @@ from .policy_core import (
     LyapunovMetric,
     Plant,
     StaticGain,
-    closed_loop_matrix_dynamic,
+    check_slice_directions,
     closed_loop_static,
     connectivity_scan,
     is_stabilizing_dynamic,
@@ -141,19 +142,21 @@ def _opt(cfg, key, default_key=None):
     return cfg.options.get(key, DEFAULTS[default_key or key])
 
 
+# Options that must be finite numbers when given.
+_NUMERIC = ("tol", "max_iter", "alpha", "eta", "epsilon", "samples", "resolution",
+            "grid", "refine_tol", "radius", "order", "seed")
+
+
+def _option_violations(options):
+    return [f"options.{key}: expected a finite number, got {options[key]!r}"
+            for key in _NUMERIC if key in options
+            and (isinstance(options[key], bool) or not isinstance(options[key], (int, float))
+                 or not math.isfinite(options[key]))]
+
+
 def _gain(cfg, key, violations):
-    value = cfg.options.get(key)
-    if value is None:
-        violations.append(f"options.{key}: missing")
-        return None
-    M = np.asarray(value, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    if M.shape != (cfg.plant.m, cfg.plant.n):
-        violations.append(f"options.{key}: expected shape "
-                          f"({cfg.plant.m}, {cfg.plant.n}), got {M.shape}")
-        return None
-    return M
+    return _get_matrix(cfg.options, f"options.{key}", violations,
+                       shape=(cfg.plant.m, cfg.plant.n))
 
 
 def _dynamic_policy(cfg, key, violations):
@@ -165,9 +168,49 @@ def _dynamic_policy(cfg, key, violations):
         return DynamicPolicy.create(np.asarray(value["A_K"], dtype=float),
                                     np.asarray(value["B_K"], dtype=float),
                                     np.asarray(value["C_K"], dtype=float))
-    except (KeyError, ContractError) as exc:
+    except (KeyError, ValueError, ContractError) as exc:
         violations.append(f"options.{key}: {exc}")
         return None
+
+
+def _slice_frame(cfg, size):
+    """origin (zero by default), dir1 and dir2 of a landscape slice, each
+    flattened to `size` entries; the directions must be linearly independent."""
+    violations = []
+    options = {"origin": np.zeros(size).tolist(), **cfg.options}
+    frame = [_get_matrix(options, f"options.{key}", violations)
+             for key in ("origin", "dir1", "dir2")]
+    for key, M in zip(("origin", "dir1", "dir2"), frame):
+        if M is not None and M.size != size:
+            violations.append(f"options.{key}: expected {size} entries, got {M.size}")
+    if not violations:
+        frame = [M.reshape(-1) for M in frame]
+        try:
+            check_slice_directions(frame[1], frame[2])
+        except ContractError as exc:
+            violations.append(f"options.dir1, options.dir2: {exc}")
+    if violations:
+        raise ConfigError(violations)
+    return frame
+
+
+def _constraint(cfg, violations):
+    constraint = cfg.options.get("constraint")
+    kind = constraint.get("kind") if isinstance(constraint, dict) else None
+    entry = {"sparsity": "mask", "output_feedback": "Cout"}.get(kind)
+    if entry is None:
+        violations.append(f"options.constraint.kind: unknown {kind!r}")
+        return None
+    shape = (cfg.plant.m, cfg.plant.n) if kind == "sparsity" else None
+    M = _get_matrix(constraint, f"options.constraint.{entry}", violations, shape=shape)
+    try:
+        if M is not None and kind == "sparsity":
+            return ConstraintSubspace.sparsity(M != 0.0)
+        if M is not None:
+            return ConstraintSubspace.output_feedback(M, cfg.plant.m)
+    except ContractError as exc:
+        violations.append(f"options.constraint.{entry}: {exc}")
+    return None
 
 
 def _step_rule(cfg):
@@ -219,7 +262,7 @@ def _run_task(cfg, outdir, seed):
         trace = []
         for it in range(int(cfg.options.get("max_iter", 100))):
             ev = lqr.lqr_eval(plant, K)
-            Knew = lqr.hewer_step(plant, K)
+            Knew = lqr.hewer_step(plant, K, ev)
             delta = float(np.linalg.norm(Knew.K - K.K))
             trace.append(lqr.IterTrace(iter=it, J=ev.J, grad_norm=delta, step=1.0,
                                        rho=spectral_radius(ev.A_cl)))
@@ -231,15 +274,9 @@ def _run_task(cfg, outdir, seed):
         return extras, trace
 
     if cfg.task == "structured_gd":
-        constraint = cfg.options.get("constraint", {})
-        kind = constraint.get("kind")
-        if kind == "sparsity":
-            sub = ConstraintSubspace.sparsity(np.asarray(constraint["mask"], dtype=bool))
-        elif kind == "output_feedback":
-            sub = ConstraintSubspace.output_feedback(
-                np.asarray(constraint["Cout"], dtype=float), plant.m)
-        else:
-            raise ConfigError([f"options.constraint.kind: unknown {kind!r}"])
+        sub = _constraint(cfg, violations)
+        if violations:
+            raise ConfigError(violations)
         metric = LyapunovMetric() if _opt(cfg, "metric") == "lyapunov" else Frobenius()
         Kc = StaticGain.certify(plant, K0)
         K, trace = structured.structured_gd_run(
@@ -321,10 +358,7 @@ def _run_task(cfg, outdir, seed):
         box = cfg.options.get("box", [[-1.0, 1.0], [-1.0, 1.0]])
         m, n = plant.m, plant.n
         if kind in ("lqr", "hinf"):
-            origin = np.asarray(cfg.options.get("origin",
-                                                np.zeros((m, n)).tolist()), dtype=float)
-            dir1 = np.asarray(cfg.options["dir1"], dtype=float)
-            dir2 = np.asarray(cfg.options["dir2"], dtype=float)
+            origin, dir1, dir2 = (M.reshape(m, n) for M in _slice_frame(cfg, m * n))
 
             if kind == "lqr":
                 def costfn(K):
@@ -346,9 +380,7 @@ def _run_task(cfg, outdir, seed):
                 c = v[q * q + q * plant.p:].reshape(plant.m, q)
                 return DynamicPolicy(A_K=a, B_K=b, C_K=c)
 
-            origin = np.asarray(cfg.options["origin"], dtype=float).reshape(shape)
-            dir1 = np.asarray(cfg.options["dir1"], dtype=float).reshape(shape)
-            dir2 = np.asarray(cfg.options["dir2"], dtype=float).reshape(shape)
+            origin, dir1, dir2 = _slice_frame(cfg, shape[0])
 
             def costfn(v):
                 Kd = unpack(v)
@@ -401,13 +433,16 @@ def run_experiment(cfg, outdir, seed=None):
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = int(cfg.options.get("seed", DEFAULTS["seed"]))
     summary = {"task": cfg.task, "seed": seed, "config": cfg.raw,
                "defaults": DEFAULTS, "error": None}
     start = time.perf_counter()
     code = 0
     try:
+        violations = _option_violations(cfg.options)
+        if violations:
+            raise ConfigError(violations)
+        if seed is None:
+            seed = summary["seed"] = int(cfg.options.get("seed", DEFAULTS["seed"]))
         extras, trace = _run_task(cfg, outdir, seed)
         summary.update(extras)
         if trace is not None:

@@ -17,12 +17,12 @@ class ContractError(PolgeoError):
     """A caller-side precondition was violated (non-symmetric input, bad mask, ...)."""
 
 
-class NotSchurStableError(PolgeoError):
-    """Lyapunov solve requested for a matrix with spectral radius >= 1."""
-
-
 class InfeasibleError(PolgeoError):
     """Cost/gradient evaluation at a non-stabilizing policy."""
+
+
+class NotSchurStableError(InfeasibleError):
+    """Lyapunov solve requested for a matrix with spectral radius >= 1."""
 
 
 class StalledError(PolgeoError):

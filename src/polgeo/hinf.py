@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InternalInvariantError, StalledError
-from .lqr import IterTrace, MAX_BACKTRACKS
+from .errors import InfeasibleError, InternalInvariantError
+from .lqr import CertificateStep, IterTrace, backtrack, initial_eta
 from .numerics import hermitian_lambda_max, solve_linear, spectral_radius
 from .policy_core import (
     StaticGain,
     closed_loop_static,
     is_stabilizing_static,
-    stability_certificate,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -196,30 +195,19 @@ def hinf_descent_run(plant, K0, sample_count=None, sample_radius=None,
         trace.append(IterTrace(iter=it, J=J, grad_norm=dnorm, step=0.0, rho=rho))
         if it == max_iter:
             break
-        if dnorm <= tol:
-            if radius <= radius_min:
-                break
-            radius = max(radius * 0.1, radius_min)
-            fd_h = max(radius * 1e-2, 1e-14)
-            continue
-        V = -direction
-        eta = min(1.0, stability_certificate(plant, StaticGain(K, True), V))
-        if not np.isfinite(eta):
-            eta = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = K + eta * V
-            if is_stabilizing_static(plant, cand) and cost(cand) < J:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            # non-smooth kink at the sampling scale: shrink and retry
-            if radius <= radius_min:
-                break
-            radius = max(radius * 0.1, radius_min)
-            fd_h = max(radius * 1e-2, 1e-14)
-            continue
-        trace[-1] = IterTrace(iter=it, J=J, grad_norm=dnorm, step=eta, rho=rho)
-        K = K + eta * V
+        if dnorm > tol:
+            V = -direction
+            eta, accepted = backtrack(
+                lambda e: cost(K + e * V) < J,
+                initial_eta(plant, StaticGain(K, True), V, CertificateStep()))
+            if accepted:
+                trace[-1] = IterTrace(iter=it, J=J, grad_norm=dnorm, step=eta, rho=rho)
+                K = K + eta * V
+                continue
+        # stationary at the sampling scale, or a non-smooth kink there:
+        # shrink the radius and retry
+        if radius <= radius_min:
+            break
+        radius = max(radius * 0.1, radius_min)
+        fd_h = max(radius * 1e-2, 1e-14)
     return StaticGain(K, True), trace

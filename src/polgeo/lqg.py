@@ -18,11 +18,11 @@ from .errors import (
     ContractError,
     GramianSingularError,
     InfeasibleError,
+    InternalInvariantError,
     MinimalityLostError,
     SingularMatrixError,
-    StalledError,
 )
-from .lqr import IterTrace, MAX_BACKTRACKS, backtrack
+from .lqr import decrease, descend
 from .lyapunov import dlyap
 from .numerics import matrix_rank, solve_linear, spectral_radius, sym_lambda_min
 from .policy_core import (
@@ -74,7 +74,7 @@ def lqg_eval(plant, Kd):
     J = float(np.trace(weight @ X))
     J_dual = float(np.trace(noise @ Y))
     if abs(J - J_dual) > 1e-9 * (1.0 + abs(J)):
-        raise ContractError("lqg_eval: dual cost expressions disagree")
+        raise InternalInvariantError("lqg_eval: dual cost expressions disagree")
     return LqgEval(J=J, X=X, Y=Y)
 
 
@@ -253,27 +253,21 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
         raise ContractError("lqg_gd_run: KM mode requires a full-order policy")
     if not is_stabilizing_dynamic(plant, Kd0):
         raise InfeasibleError("lqg_gd_run: Kd0 is not stabilizing")
-    Kd = Kd0
-    trace = []
-    for it in range(max_iter + 1):
-        ev = lqg_eval(plant, Kd)
+
+    def direction(Kd, ev, it):
         if mode == "km_riemannian":
             g = km_grad(plant, Kd, weights, ev)
         else:
             g = lqg_grad(plant, Kd, ev)
-        gnorm = float(np.sqrt(sum(np.sum(x * x) for x in g)))
-        rho = spectral_radius(closed_loop_matrix_dynamic(plant, Kd))
-        if gnorm <= tol or it == max_iter:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=rho))
-            break
-        V = tuple(-x for x in g)
-        eta, accepted = backtrack(
-            lambda e: is_stabilizing_dynamic(plant, _policy_add(Kd, V, e)),
-            lambda e: lqg_eval(plant, _policy_add(Kd, V, e)).J,
-            ev.J, alpha)
-        if not accepted:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=rho))
-            raise StalledError("lqg_gd_run: 30 failed backtracks", trace)
-        trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=rho))
-        Kd = _policy_add(Kd, V, eta)
+        return tuple(-x for x in g), float(np.sqrt(sum(np.sum(x * x) for x in g)))
+
+    Kd, trace = descend(
+        "lqg_gd_run", Kd0,
+        evaluate=lambda Kd: lqg_eval(plant, Kd),
+        rho=lambda Kd, ev: spectral_radius(closed_loop_matrix_dynamic(plant, Kd)),
+        direction=direction,
+        initial_step=lambda Kd, V: alpha,
+        move=_policy_add,
+        accept=decrease(lambda Kd: is_stabilizing_dynamic(plant, Kd)),
+        tol=tol, max_iter=max_iter)
     return Kd, trace, is_minimal(Kd)

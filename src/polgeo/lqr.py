@@ -6,7 +6,6 @@ P_K = L(A_cl^T, Q + K^T R K) and Y_K = L(A_cl, Sigma).
 """
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -19,23 +18,57 @@ from .policy_core import StaticGain, closed_loop_static, is_stabilizing_static, 
 MAX_BACKTRACKS = 30
 
 
-def backtrack(feasible, cost, J_ref, eta0):
-    """Halve eta until the candidate is feasible and strictly decreases the
-    cost. If 30 halvings never find a strict decrease (the decrement is below
-    round-off near a minimizer), retry once accepting non-increase within
-    round-off slack. Returns (eta, accepted)."""
+def backtrack(accept, eta0):
+    """Halve eta from eta0 until accept(eta) holds, trying at most
+    MAX_BACKTRACKS halvings. The package's only halving loop. Returns
+    (eta, accepted)."""
     eta = eta0
     for _ in range(MAX_BACKTRACKS + 1):
-        if feasible(eta) and cost(eta) < J_ref:
-            return eta, True
-        eta *= 0.5
-    eta = eta0
-    slack = 1e-14 * (1.0 + abs(J_ref))
-    for _ in range(MAX_BACKTRACKS + 1):
-        if feasible(eta) and cost(eta) <= J_ref + slack:
+        if accept(eta):
             return eta, True
         eta *= 0.5
     return eta, False
+
+
+def decrease(feasible):
+    """Acceptance test for smooth costs.
+
+    A candidate is accepted when it is feasible, evaluates without
+    InfeasibleError, and strictly decreases J. If 30 halvings never find a
+    strict decrease (the decrement is below round-off near a minimizer), the
+    line search is retried once accepting non-increase within round-off
+    slack. Returns (eta, candidate, its evaluation) or None.
+    """
+    def accept(candidate, evaluate, J_ref, eta0):
+        slack = 1e-14 * (1.0 + abs(J_ref))
+        found = []
+
+        def ok(eta, strict):
+            x = candidate(eta)
+            if not feasible(x):
+                return False
+            try:
+                ev = evaluate(x)
+            except InfeasibleError:
+                return False
+            found[:] = [x, ev]
+            return ev.J < J_ref if strict else ev.J <= J_ref + slack
+
+        for strict in (True, False):
+            eta, accepted = backtrack(lambda e: ok(e, strict), eta0)
+            if accepted:
+                return (eta, *found)
+        return None
+    return accept
+
+
+def feasible_only(feasible):
+    """Acceptance test that evaluates no cost: the first feasible candidate.
+    Returns (eta, candidate, None) or None."""
+    def accept(candidate, evaluate, J_ref, eta0):
+        eta, accepted = backtrack(lambda e: feasible(candidate(e)), eta0)
+        return (eta, candidate(eta), None) if accepted else None
+    return accept
 
 
 @dataclass(frozen=True)
@@ -136,9 +169,9 @@ def dare_solve(plant, tol=1e-12, max_iter=100_000):
     return P, StaticGain.certify(plant, Kstar)
 
 
-def hewer_step(plant, K):
+def hewer_step(plant, K, ev=None):
     """K+ = -(R + B^T P_K B)^-1 B^T P_K A; unit step certified by re-verification."""
-    ev = lqr_eval(plant, K)
+    ev = ev if ev is not None else lqr_eval(plant, K)
     BtP = plant.B.T @ ev.P_K
     Knew = -solve_linear(plant.R + BtP @ plant.B, BtP @ plant.A)
     return StaticGain.certify(plant, Knew)
@@ -168,7 +201,7 @@ def _descent_direction(plant, K, ev, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _initial_eta(plant, K, V, step_rule):
+def initial_eta(plant, K, V, step_rule):
     if isinstance(step_rule, CertificateStep):
         eta = min(step_rule.cap, stability_certificate(plant, K, V))
         return eta if np.isfinite(eta) else step_rule.cap
@@ -176,6 +209,53 @@ def _initial_eta(plant, K, V, step_rule):
     if eta is None:
         eta = 1e-3 / spectral_norm(plant.R)
     return eta
+
+
+def descend(name, x0, evaluate, rho, direction, initial_step, move, accept,
+            tol, max_iter):
+    """The certified descent loop that every gradient driver configures.
+
+    evaluate(x) returns an evaluation with attribute J and raises
+    InfeasibleError off the feasible set; rho(x, ev) is the closed loop's
+    spectral radius; direction(x, ev, it) returns (V, grad_norm);
+    initial_step(x, V) is the first step tried; move(x, V, eta) is the
+    candidate at step eta; accept(candidate, evaluate, J, eta0) is the line
+    search (decrease or feasible_only). The accepted candidate's evaluation
+    carries over to the next iteration, so no iterate is evaluated twice.
+    Stops when grad_norm <= tol or at max_iter; a failed line search raises
+    StalledError carrying the trace so far. Returns (x, trace).
+    """
+    x, ev = x0, evaluate(x0)
+    trace = []
+    for it in range(max_iter + 1):
+        V, gnorm = direction(x, ev, it)
+        r = rho(x, ev)
+        if gnorm <= tol or it == max_iter:
+            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=r))
+            break
+        step = accept(lambda eta: move(x, V, eta), evaluate, ev.J, initial_step(x, V))
+        if step is None:
+            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=r))
+            raise StalledError(f"{name}: {MAX_BACKTRACKS} failed backtracks", trace)
+        eta, x, accepted_ev = step
+        trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=r))
+        ev = accepted_ev if accepted_ev is not None else evaluate(x)
+    return x, trace
+
+
+def static_descent(name, plant, K0, direction, step_rule, tol, max_iter):
+    """descend over static gains with the LQR cost. A candidate is tagged
+    certified when built; the acceptance test checks its membership before
+    anything evaluates it, and only accepted candidates become iterates."""
+    return descend(
+        name, K0,
+        evaluate=lambda K: lqr_eval(plant, K),
+        rho=lambda K, ev: spectral_radius(ev.A_cl),
+        direction=direction,
+        initial_step=lambda K, V: initial_eta(plant, K, V, step_rule),
+        move=lambda K, V, eta: StaticGain(K.K + eta * V, True),
+        accept=decrease(lambda K: is_stabilizing_static(plant, K.K)),
+        tol=tol, max_iter=max_iter)
 
 
 def gd_run(plant, K0, direction="euclidean", step_rule=CertificateStep(),
@@ -187,23 +267,7 @@ def gd_run(plant, K0, direction="euclidean", step_rule=CertificateStep(),
     Terminates when the gradient norm falls below tol.
     """
     _require_certified(K0)
-    K = K0
-    trace = []
-    for it in range(max_iter + 1):
-        ev = lqr_eval(plant, K)
-        V, gnorm = _descent_direction(plant, K, ev, direction)
-        rho = spectral_radius(ev.A_cl)
-        if gnorm <= tol or it == max_iter:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=rho))
-            break
-        eta0 = _initial_eta(plant, K, V, step_rule)
-        eta, accepted = backtrack(
-            lambda e: is_stabilizing_static(plant, K.K + e * V),
-            lambda e: lqr_eval(plant, StaticGain(K.K + e * V, True)).J,
-            ev.J, eta0)
-        if not accepted:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=rho))
-            raise StalledError("gd_run: 30 failed backtracks", trace)
-        trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=rho))
-        K = StaticGain(K=K.K + eta * V, certified=True)
-    return K, trace
+    return static_descent(
+        "gd_run", plant, K0,
+        lambda K, ev, it: _descent_direction(plant, K, ev, direction),
+        step_rule, tol, max_iter)

@@ -1,8 +1,7 @@
 """Discrete Lyapunov operator L(A, Q), its differential, and the trace identity.
 
-L(A, Q) is the unique P solving P = A P A^T + Q when rho(A) < 1. The
-production solver is Smith doubling; a Kronecker-vectorization solver is
-kept solely as an independent oracle.
+L(A, Q) is the unique P solving P = A P A^T + Q when rho(A) < 1, solved
+by Smith doubling.
 """
 
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotSchurStableError
-from .numerics import solve_linear, spectral_radius
+from .numerics import spectral_radius
 
 SMITH_TOL = 1e-13
 SMITH_MAX_ITER = 64
@@ -55,24 +54,6 @@ def dlyap(A, Q):
             raise NotSchurStableError("dlyap: Smith iteration diverged (rho(A) >= 1?)")
     residual = float(np.linalg.norm(P - A @ P @ A.T - Q))
     return LyapSolution(P=P, iterations=iterations, residual=residual)
-
-
-def dlyap_kron_oracle(A, Q, max_dim=12):
-    """Kronecker-vectorization oracle: vec(P) = (I - A (x) A)^-1 vec(Q).
-
-    O(n^6); refuses n > max_dim by design.
-    """
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    n = A.shape[0]
-    if n > max_dim:
-        raise DimensionError(f"dlyap_kron_oracle: n={n} exceeds limit {max_dim}")
-    if spectral_radius(A) >= 1.0:
-        raise NotSchurStableError("dlyap_kron_oracle: rho(A) >= 1")
-    G = np.eye(n * n) - np.kron(A, A)
-    # vec here is row-major stacking; consistent on both sides.
-    p = solve_linear(G, Q.reshape(-1))
-    return p.reshape(n, n)
 
 
 def dlyap_diff(A, Q, E, F):

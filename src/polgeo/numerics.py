@@ -28,26 +28,6 @@ def as_mat(x, name="matrix"):
     return M
 
 
-def as_cmat(x, name="matrix"):
-    M = np.asarray(x, dtype=complex)
-    if M.ndim != 2:
-        raise DimensionError(f"{name}: expected a 2-D array, got ndim={M.ndim}")
-    if M.size and not np.all(np.isfinite(M)):
-        raise ContractError(f"{name}: entries must be finite")
-    return M
-
-
-def fro(M):
-    return float(np.linalg.norm(np.asarray(M)))
-
-
-def matmul(X, Y):
-    X, Y = np.asarray(X), np.asarray(Y)
-    if X.shape[1] != Y.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions {X.shape} x {Y.shape}")
-    return X @ Y
-
-
 def solve_linear(G, b):
     """Solve Gx = b by Gaussian elimination with partial pivoting.
 

@@ -4,7 +4,7 @@ grid scanners (connectivity / landscape slices)."""
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -14,6 +14,7 @@ from .lyapunov import dlyap
 from .numerics import (
     as_mat,
     orthonormal_rows,
+    solve_linear,
     spectral_norm,
     spectral_radius,
     sym_lambda_max,
@@ -144,47 +145,59 @@ class DynamicPolicy:
 
 @dataclass(frozen=True)
 class ConstraintSubspace:
-    """Linear subspace of gain space spanned by an explicit basis."""
+    """Linear subspace of gain space: a sparsity pattern (K[~mask] = 0) or
+    static output feedback (K = L Cout, kept as the orthonormal rows of Cout)."""
 
     kind: str
-    basis: tuple = field(default_factory=tuple)
+    mask: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     @staticmethod
     def sparsity(mask):
         mask = np.asarray(mask, dtype=bool)
-        basis = []
-        m, n = mask.shape
-        for i in range(m):
-            for j in range(n):
-                if mask[i, j]:
-                    E = np.zeros((m, n))
-                    E[i, j] = 1.0
-                    basis.append(E)
-        if not basis:
+        if mask.ndim != 2:
+            raise ContractError(f"sparsity mask must be 2-D, got shape {mask.shape}")
+        if not mask.any():
             raise ContractError("sparsity mask allows no entries")
-        return ConstraintSubspace(kind="sparsity", basis=tuple(basis))
+        return ConstraintSubspace(kind="sparsity", mask=mask)
 
     @staticmethod
     def output_feedback(Cout, m):
-        """K = L Cout for some L; basis built from row-orthonormalized Cout."""
-        Cout = as_mat(Cout, "Cout")
-        Crows = orthonormal_rows(Cout)
-        d, n = Crows.shape
-        basis = []
-        for i in range(m):
-            for j in range(d):
-                E = np.zeros((m, n))
-                E[i, :] = Crows[j, :]
-                basis.append(E.copy())
-                E[i, :] = 0.0
-        return ConstraintSubspace(kind="output_feedback", basis=tuple(basis))
+        """K = L Cout for some m x p matrix L."""
+        return ConstraintSubspace(kind="output_feedback",
+                                  rows=orthonormal_rows(as_mat(Cout, "Cout")))
 
     def contains(self, K, tol=1e-12):
-        """Membership check; exact for sparsity bases, least squares otherwise."""
-        stack = np.stack([E.reshape(-1) for E in self.basis], axis=1)
-        coeffs, *_ = np.linalg.lstsq(stack, np.asarray(K).reshape(-1), rcond=None)
-        resid = np.asarray(K).reshape(-1) - stack @ coeffs
-        return bool(np.linalg.norm(resid, ord=np.inf) <= tol * (1.0 + np.linalg.norm(K)))
+        """Membership: every entry of K's component off the subspace is at
+        most tol * (1 + ||K||_F); exact for sparsity masks."""
+        K = np.asarray(K, dtype=float)
+        if self.mask is not None:
+            resid = K[~self.mask]
+        else:
+            resid = K - (K @ self.rows.T) @ self.rows
+        return not np.any(np.abs(resid) > tol * (1.0 + np.linalg.norm(K)))
+
+    def project(self, V, weight=None):
+        """Orthogonal projection of V under <X, Y> = tr(X^T Y M), with M the
+        SPD matrix weight (the identity when None), in closed form.
+
+        Sparsity: masking for the identity; otherwise row i solves
+        W_i[S] M[S, S] = (V_i M)[S] on its support S. Output feedback: the
+        normal equations L (C M C^T) = V M C^T over the rows C give W = L C.
+        """
+        if self.mask is not None:
+            if weight is None:
+                return np.where(self.mask, V, 0.0)
+            W = np.zeros_like(V)
+            VM = V @ weight
+            for i, support in enumerate(self.mask):
+                if support.any():
+                    W[i, support] = solve_linear(weight[np.ix_(support, support)],
+                                                 VM[i, support])
+            return W
+        C = self.rows
+        CM = C if weight is None else C @ weight
+        return solve_linear(CM @ C.T, CM @ V.T).T @ C
 
 
 @dataclass(frozen=True)
@@ -195,17 +208,6 @@ class Frobenius:
 @dataclass(frozen=True)
 class LyapunovMetric:
     """<V, W>_K = tr(V^T W Y_K) with Y_K = L(A+BK, Sigma)."""
-
-
-@dataclass(frozen=True)
-class KM:
-    w1: float = 1.0
-    w2: float = 1.0
-    w3: float = 1.0
-
-    def __post_init__(self):
-        if not (self.w1 > 0.0 and self.w2 >= 0.0 and self.w3 >= 0.0):
-            raise ContractError("KM weights need w1 > 0, w2 >= 0, w3 >= 0")
 
 
 def closed_loop_static(plant, K):
@@ -285,6 +287,17 @@ def connectivity_scan(membership, box, resolution):
     return int(count)
 
 
+def check_slice_directions(dir1, dir2):
+    """Raise ContractError unless the two slice directions are linearly
+    independent (Gram determinant above round-off)."""
+    gram = np.array([
+        [np.sum(dir1 * dir1), np.sum(dir1 * dir2)],
+        [np.sum(dir1 * dir2), np.sum(dir2 * dir2)],
+    ])
+    if np.linalg.det(gram) <= 1e-14 * max(1.0, gram[0, 0] * gram[1, 1]):
+        raise ContractError("landscape_slice: directions must be linearly independent")
+
+
 def landscape_slice(costfn, origin, dir1, dir2, box, resolution):
     """Evaluate costfn on origin + s*dir1 + t*dir2 over a 2-D grid.
 
@@ -295,12 +308,7 @@ def landscape_slice(costfn, origin, dir1, dir2, box, resolution):
     origin = np.asarray(origin, dtype=float)
     dir1 = np.asarray(dir1, dtype=float)
     dir2 = np.asarray(dir2, dtype=float)
-    gram = np.array([
-        [np.sum(dir1 * dir1), np.sum(dir1 * dir2)],
-        [np.sum(dir1 * dir2), np.sum(dir2 * dir2)],
-    ])
-    if np.linalg.det(gram) <= 1e-14 * max(1.0, gram[0, 0] * gram[1, 1]):
-        raise ContractError("landscape_slice: directions must be linearly independent")
+    check_slice_directions(dir1, dir2)
     (s_lo, s_hi), (t_lo, t_hi) = box
     s_vals = np.linspace(s_lo, s_hi, resolution)
     t_vals = np.linspace(t_lo, t_hi, resolution)

@@ -4,113 +4,60 @@ projection and certified projected descent."""
 
 import numpy as np
 
-from .errors import ContractError, SingularMatrixError, StalledError
+from .errors import ContractError, InternalInvariantError
 from .lqr import (
     CertificateStep,
-    IterTrace,
-    MAX_BACKTRACKS,
-    backtrack,
     lqr_eval,
     lqr_grad_euclidean,
     lqr_grad_riemannian,
+    static_descent,
 )
-from .numerics import solve_linear, spectral_radius
-from .policy_core import (
-    Frobenius,
-    LyapunovMetric,
-    StaticGain,
-    is_stabilizing_static,
-    stability_certificate,
-)
+from .policy_core import Frobenius, LyapunovMetric
 
 
-def _metric_inner(X, Y, Y_K, metric):
-    if isinstance(metric, Frobenius):
-        return float(np.sum(X * Y))
-    if isinstance(metric, LyapunovMetric):
-        return float(np.trace(X.T @ Y @ Y_K))
-    raise ContractError(f"unsupported metric for structured projection: {metric!r}")
-
-
-def _project_coeffs(V, basis, Y_K, metric):
-    k = len(basis)
-    G = np.empty((k, k))
-    b = np.empty(k)
-    for i, Ei in enumerate(basis):
-        b[i] = _metric_inner(Ei, V, Y_K, metric)
-        for j, Ej in enumerate(basis):
-            G[i, j] = _metric_inner(Ei, Ej, Y_K, metric)
-    try:
-        return solve_linear(G, b)
-    except SingularMatrixError as exc:
-        raise ContractError("tangential_project: Gram matrix singular "
-                            "(dependent basis?)") from exc
-
-
-def tangential_project(plant, K, V, sub, metric=Frobenius()):
-    """Metric-orthogonal projection of V onto span(sub.basis).
-
-    Assembles the Gram system G c = b over the explicit basis; the Lyapunov
-    metric uses <X, Y> = tr(X^T Y Y_K) with Y_K from the current gain.
-    """
+def tangential_project(plant, K, V, sub, metric=Frobenius(), ev=None):
+    """Metric-orthogonal projection of V onto the subspace, in closed form
+    (see ConstraintSubspace.project); the Lyapunov metric
+    <X, Y> = tr(X^T Y Y_K) takes Y_K from ev or from evaluating K."""
     if not K.certified:
         raise ContractError("tangential_project: K must be certified")
     if not sub.contains(K.K):
         raise ContractError("tangential_project: K is not in the constraint subspace")
-    V = np.asarray(V, dtype=float)
-    Y_K = None
-    if isinstance(metric, LyapunovMetric):
-        Y_K = lqr_eval(plant, K).Y_K
-    coeffs = _project_coeffs(V, sub.basis, Y_K, metric)
-    W = np.zeros_like(V)
-    for c, E in zip(coeffs, sub.basis):
-        W += c * E
-    return W
+    if isinstance(metric, Frobenius):
+        weight = None
+    elif isinstance(metric, LyapunovMetric):
+        weight = (ev if ev is not None else lqr_eval(plant, K)).Y_K
+    else:
+        raise ContractError(f"unsupported metric for structured projection: {metric!r}")
+    return sub.project(np.asarray(V, dtype=float), weight)
 
 
-def structured_grad(plant, K, sub, metric=Frobenius()):
+def structured_grad(plant, K, sub, metric=Frobenius(), ev=None):
     """Projected gradient: Riemannian gradient under the Lyapunov metric,
     Euclidean gradient under Frobenius."""
+    ev = ev if ev is not None else lqr_eval(plant, K)
     if isinstance(metric, LyapunovMetric):
-        g = lqr_grad_riemannian(plant, K)
+        g = lqr_grad_riemannian(plant, K, ev)
     else:
-        g = lqr_grad_euclidean(plant, K)
-    return tangential_project(plant, K, g, sub, metric)
+        g = lqr_grad_euclidean(plant, K, ev)
+    return tangential_project(plant, K, g, sub, metric, ev)
 
 
 def structured_gd_run(plant, K0, sub, metric=Frobenius(),
                       step_rule=CertificateStep(), tol=1e-8, max_iter=1000):
-    """Certified projected descent; iterates stay in the subspace exactly
-    (updates are linear combinations of basis elements)."""
+    """Certified projected descent; iterates stay in the subspace (updates
+    are projections onto it), which every iteration re-checks."""
     if not K0.certified:
         raise ContractError("structured_gd_run: K0 must be certified")
     if not sub.contains(K0.K):
         raise ContractError("structured_gd_run: K0 is not in the constraint subspace")
-    K = K0
-    trace = []
-    for it in range(max_iter + 1):
-        ev = lqr_eval(plant, K)
-        g = structured_grad(plant, K, sub, metric)
-        V = -g
-        gnorm = float(np.linalg.norm(g))
-        rho = spectral_radius(ev.A_cl)
-        if gnorm <= tol or it == max_iter:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=rho))
-            break
-        if isinstance(step_rule, CertificateStep):
-            eta = min(step_rule.cap, stability_certificate(plant, K, V))
-            if not np.isfinite(eta):
-                eta = step_rule.cap
-        else:
-            eta = step_rule.eta if step_rule.eta is not None else 1e-3
-        eta, accepted = backtrack(
-            lambda e: is_stabilizing_static(plant, K.K + e * V),
-            lambda e: lqr_eval(plant, StaticGain(K.K + e * V, True)).J,
-            ev.J, eta)
-        if not accepted:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=rho))
-            raise StalledError("structured_gd_run: 30 failed backtracks", trace)
-        trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=rho))
-        K = StaticGain(K=K.K + eta * V, certified=True)
-        assert sub.contains(K.K), "iterate drifted out of the constraint subspace"
-    return K, trace
+
+    def direction(K, ev, it):
+        if not sub.contains(K.K):
+            raise InternalInvariantError("structured_gd_run: iterate drifted out "
+                                         "of the constraint subspace")
+        g = structured_grad(plant, K, sub, metric, ev)
+        return -g, float(np.linalg.norm(g))
+
+    return static_descent("structured_gd_run", plant, K0, direction, step_rule,
+                          tol, max_iter)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, ContractError, StalledError
-from .lqr import IterTrace, MAX_BACKTRACKS
+from .errors import BoundaryError, ContractError
+from .lqr import descend, feasible_only
 
 RNG_NAME = "philox"
 MAX_RESAMPLES = 50
@@ -114,34 +114,32 @@ def estimate_gradient(costfn, theta, cfg, iteration=0, baselinefn=None):
     return zo_grad_baseline(costfn, base, theta, cfg, iteration)
 
 
+@dataclass(frozen=True)
+class _Query:
+    """One cost query, in the shape the descent loop reads."""
+    J: float
+
+
 def zo_gd_run(costfn, feasibility, theta0, cfg, eta=0.1, tol=1e-8,
               max_iter=1000, rho_fn=None):
     """Zeroth-order descent: estimated gradients, every iterate
     feasibility-checked (step halved until the candidate is feasible)."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    if not feasibility(theta):
+    theta0 = np.asarray(theta0, dtype=float).copy()
+    if not feasibility(theta0):
         raise BoundaryError("zo_gd_run: infeasible start")
     if rho_fn is None:
         rho_fn = lambda th: math.nan
-    trace = []
-    for it in range(max_iter + 1):
-        J = float(costfn(theta))
+
+    def direction(theta, query, it):
         g = estimate_gradient(costfn, theta, cfg, iteration=it)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol or it == max_iter:
-            trace.append(IterTrace(iter=it, J=J, grad_norm=gnorm, step=0.0, rho=float(rho_fn(theta))))
-            break
-        step = eta
-        accepted = False
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = theta - step * g
-            if feasibility(cand):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            trace.append(IterTrace(iter=it, J=J, grad_norm=gnorm, step=0.0, rho=float(rho_fn(theta))))
-            raise StalledError("zo_gd_run: 30 failed backtracks", trace)
-        trace.append(IterTrace(iter=it, J=J, grad_norm=gnorm, step=step, rho=float(rho_fn(theta))))
-        theta = theta - step * g
-    return theta, trace
+        return -g, float(np.linalg.norm(g))
+
+    return descend(
+        "zo_gd_run", theta0,
+        evaluate=lambda th: _Query(float(costfn(th))),
+        rho=lambda th, query: float(rho_fn(th)),
+        direction=direction,
+        initial_step=lambda th, V: eta,
+        move=lambda th, V, step: th + step * V,
+        accept=feasible_only(feasibility),
+        tol=tol, max_iter=max_iter)

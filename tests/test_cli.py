@@ -283,3 +283,60 @@ def test_hewer_task(tmp_path):
             (out / "trace.jsonl").read_text().splitlines()]
     js = [r["J"] for r in recs]
     assert all(js[i + 1] <= js[i] + 1e-12 for i in range(len(js) - 1))
+
+
+def two_state_plant_dict():
+    return {"A": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [1.0]],
+            "C": [[1.0, 0.0]], "Sigma": [[1.0, 0.0], [0.0, 1.0]],
+            "W": [[1.0, 0.0], [0.0, 1.0]], "V": [[1.0]],
+            "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]}
+
+
+@pytest.mark.parametrize("task, options, path", [
+    ("lqr_gd", {"K0": "abc"}, "options.K0"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "tol": "x"}, "options.tol"),
+    ("landscape", {"dir2": [[0.0, 1.0]]}, "options.dir1"),
+    ("structured_gd", {"K0": [[0.0, 0.0]], "constraint": {"kind": "sparsity"}},
+     "options.constraint.mask"),
+    ("landscape", {"dir1": [[1.0, 0.0]], "dir2": [[2.0, 0.0]]}, "options.dir1, options.dir2"),
+])
+def test_exit_2_malformed_option_names_field(tmp_path, task, options, path):
+    raw = {"task": task, "plant": two_state_plant_dict(), "options": options}
+    out = tmp_path / "out"
+    code = cli.main([task, "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 2
+    error = read_summary(out)["error"]
+    assert error["kind"] == "config"
+    assert any(v.startswith(path + ":") for v in error["violations"])
+
+
+def test_landscape_near_boundary_cell_is_infeasible(tmp_path):
+    # the origin K = [-1e-9, 0] passes membership (rho = 1 - 1e-9) but
+    # cannot be evaluated; the cell must become an inf sentinel
+    raw = {"task": "landscape",
+           "plant": {"A": [[1.0, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]],
+                     "C": [[1.0, 0.0]], "Sigma": [[1.0, 0.0], [0.0, 1.0]],
+                     "W": [[1.0, 0.0], [0.0, 1.0]], "V": [[1.0]],
+                     "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]},
+           "options": {"cost": "lqr", "resolution": 5,
+                       "origin": [[-1e-9, 0.0]],
+                       "dir1": [[1.0, 0.0]], "dir2": [[0.0, 1.0]]}}
+    out = tmp_path / "out"
+    code = cli.main(["landscape", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
+    assert code == 0
+    rows = (out / "grid.csv").read_text().splitlines()[1:]
+    cells = {(float(s), float(t)): v for s, t, v in (r.split(",") for r in rows)}
+    assert cells[(0.0, 0.0)] == "inf"
+    assert cells[(-0.5, 0.0)] != "inf"
+    assert read_summary(out)["feasible_cells"] < 25
+
+
+def test_exit_5_lqg_dual_cost_mismatch(tmp_path, lqg_dual_cost_mismatch):
+    raw = {"task": "lqg_gd", "plant": scalar_plant_dict(a=0.9),
+           "options": {"Kd0": {"A_K": [[0.5]], "B_K": [[0.0]], "C_K": [[0.0]]}}}
+    out = tmp_path / "out"
+    code = cli.main(["lqg_gd", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
+    assert code == 5
+    assert read_summary(out)["error"]["kind"] == "internal_invariant"

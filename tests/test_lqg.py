@@ -6,6 +6,7 @@ from polgeo import (
     DynamicPolicy,
     GramianSingularError,
     InfeasibleError,
+    InternalInvariantError,
     Plant,
     closed_loop_matrix_dynamic,
     dlyap,
@@ -63,6 +64,12 @@ def test_eval_rejects_unstable():
     Kd = DynamicPolicy.create(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(InfeasibleError):
         lqg_eval(plant, Kd)
+
+
+def test_eval_dual_cost_mismatch_is_internal_invariant(ab09_plant, lqg_dual_cost_mismatch):
+    Kd = DynamicPolicy.create([[0.5]], [[0.0]], [[0.0]])
+    with pytest.raises(InternalInvariantError, match="dual cost"):
+        lqg_eval(ab09_plant, Kd)
 
 
 def test_eval_similarity_invariance(rng):

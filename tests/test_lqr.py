@@ -52,6 +52,14 @@ def test_eval_dual_costs_agree(rng):
         assert abs(ev.J - dual) <= 1e-10 * (1.0 + abs(ev.J))
 
 
+def test_eval_near_boundary_is_infeasible(scalar_plant):
+    # rho(A + BK) = 1 - 1e-9 passes membership, but the Lyapunov solve
+    # cannot certify it; the failure must be an InfeasibleError
+    K = StaticGain(np.array([[-1e-9]]), True)
+    with pytest.raises(InfeasibleError):
+        lqr_eval(scalar_plant, K)
+
+
 def test_eval_requires_certified(scalar_plant):
     with pytest.raises(InfeasibleError):
         lqr_eval(scalar_plant, StaticGain(np.array([[-1.0]]), False))

@@ -6,7 +6,6 @@ from polgeo import (
     NotSchurStableError,
     dlyap,
     dlyap_diff,
-    dlyap_kron_oracle,
     lyap_trace_check,
 )
 from conftest import kron_lyap
@@ -74,26 +73,13 @@ def test_dlyap_fixed_point_residual(rng):
     assert np.max(np.abs(P - (A @ P @ A.T + Q))) < 1e-10 * (1.0 + np.max(np.abs(P)))
 
 
-def test_kron_oracle_trivial(rng):
-    Q = psd_matrix(rng, 3)
-    assert np.allclose(dlyap_kron_oracle(np.zeros((3, 3)), Q), Q)
-    assert abs(dlyap_kron_oracle(np.array([[0.5]]), np.array([[1.0]]))[0, 0]
-               - 4.0 / 3.0) < 1e-12
-
-
 def test_kron_oracle_agreement(rng):
     for _ in range(100):
         A = stable_matrix(rng, 4, scale=float(rng.uniform(0.2, 0.9)))
         Q = psd_matrix(rng, 4)
         P1 = dlyap(A, Q).P
-        P2 = dlyap_kron_oracle(A, Q)
+        P2 = kron_lyap(A, Q)
         assert np.max(np.abs(P1 - P2)) <= 1e-9 * (1.0 + np.max(np.abs(P2)))
-
-
-def test_kron_oracle_size_limit(rng):
-    A = np.zeros((13, 13))
-    with pytest.raises(DimensionError):
-        dlyap_kron_oracle(A, np.eye(13))
 
 
 def test_dlyap_diff_zero():

@@ -6,34 +6,12 @@ from polgeo import (
     SingularMatrixError,
     ContractError,
     hermitian_lambda_max,
-    matmul,
     solve_linear,
     spectral_norm,
     spectral_radius,
     sym_lambda_max,
 )
-from conftest import bisection_lambda_max, triple_loop_matmul
-
-
-def test_matmul_identity():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), M), M)
-
-
-def test_matmul_hand():
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-    assert np.array_equal(out, np.array([[2.0], [4.0]]))
-
-
-def test_matmul_against_triple_loop(rng):
-    X = rng.standard_normal((5, 5))
-    Y = rng.standard_normal((5, 5))
-    assert np.max(np.abs(matmul(X, Y) - triple_loop_matmul(X, Y))) < 1e-13
-
-
-def test_matmul_dimension_error():
-    with pytest.raises(DimensionError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+from conftest import bisection_lambda_max
 
 
 def test_solve_identity(rng):

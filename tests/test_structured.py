@@ -63,11 +63,27 @@ def test_projection_lyapunov_differs_from_masking(rng):
     V = rng.standard_normal((2, 2))
     proj = tangential_project(plant, K0, V, sub, LyapunovMetric())
     assert not np.allclose(proj, V * np.eye(2), atol=1e-6)
-    # residual is Lyapunov-orthogonal to every basis element
+    # residual is Lyapunov-orthogonal to the unit matrix E_ij of every
+    # entry the mask allows
     Y = lqr_eval(plant, K0).Y_K
     resid = V - proj
-    for E in sub.basis:
+    for i, j in zip(*np.nonzero(sub.mask)):
+        E = np.zeros((2, 2))
+        E[i, j] = 1.0
         assert abs(np.trace(E.T @ resid @ Y)) < 1e-10
+
+
+def test_projection_output_feedback_lyapunov_orthogonal(rng):
+    plant = random_stabilizable(rng, 3, 2)
+    K = StaticGain.certify(plant, np.zeros((2, 3)))
+    Cout = rng.standard_normal((2, 3))
+    sub = ConstraintSubspace.output_feedback(Cout, 2)
+    V = rng.standard_normal((2, 3))
+    proj = tangential_project(plant, K, V, sub, LyapunovMetric())
+    assert sub.contains(proj, tol=1e-10)
+    # <L Cout, V - proj>_K = tr(Cout^T L^T (V - proj) Y_K) vanishes for all L
+    Y = lqr_eval(plant, K).Y_K
+    assert np.max(np.abs((V - proj) @ Y @ Cout.T)) < 1e-10
 
 
 def test_projection_self_adjoint(rng):

@@ -5,6 +5,7 @@ from polgeo import (
     BoundaryError,
     ContractError,
     Plant,
+    StalledError,
     StaticGain,
     ZoConfig,
     dare_solve,
@@ -209,3 +210,14 @@ def test_zo_gd_deterministic_trace(scalar_plant):
     t2 = zo_gd_run(costfn, feas, np.array([-1.0]), cfg, eta=0.05,
                    tol=1e-4, max_iter=200)[1]
     assert t1 == t2
+
+
+def test_zo_gd_stalls_when_only_start_is_feasible():
+    theta0 = np.array([1.0, -2.0])
+    cfg = ZoConfig(epsilon=1e-3, samples=4, seed=1)
+    with pytest.raises(StalledError, match=r"^zo_gd_run: 30 failed backtracks$") as exc:
+        zo_gd_run(quad, lambda th: np.array_equal(th, theta0), theta0, cfg, eta=0.1)
+    trace = exc.value.trace
+    assert len(trace) == 1
+    assert trace[0].iter == 0 and trace[0].step == 0.0
+    assert trace[0].J == quad(theta0)
