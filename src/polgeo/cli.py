@@ -45,25 +45,31 @@ from .policy_core import (
 TASKS = ("lqr_gd", "hewer", "structured_gd", "lqg_gd", "lqg_rgd", "hinf_eval",
          "hinf_descent", "zo_gd", "landscape", "connectivity", "dare")
 
-# Defaults echoed into every summary for reproducibility.
-DEFAULTS = {
-    "tol": 1e-8,
-    "max_iter": 1000,
-    "direction": "euclidean",
-    "step_rule": {"kind": "certificate", "cap": 1.0},
-    "metric": "frobenius",
-    "alpha": 0.5,
-    "km_weights": [1.0, 1.0, 1.0],
-    "grid": 2048,
-    "refine_tol": 1e-10,
-    "hinf_descent_grid": 512,
-    "epsilon": 1e-3,
-    "samples": 2,
-    "estimator": "two_point",
-    "eta": 0.1,
-    "resolution": 61,
-    "seed": 0,
-}
+class Options:
+    """A task's options. Every lookup records the value in force, given or
+    defaulted; the summary echoes that record as `options_in_force`, so it
+    cannot drift from what the task used."""
+
+    def __init__(self, given):
+        self.given = given
+        self.in_force = {}
+
+    def __contains__(self, key):
+        return key in self.given
+
+    def __getitem__(self, key):
+        return self.get(key)
+
+    def get(self, key, default=None):
+        value = self.given.get(key, default)
+        self.in_force[key] = value
+        return value
+
+    def choice(self, key, default, choices, violations):
+        value = self.get(key, default)
+        if value not in choices:
+            violations.append(f"options.{key}: must be one of {choices}, got {value!r}")
+        return value
 
 
 @dataclass
@@ -74,10 +80,9 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _get_matrix(obj, path, violations, required=True, shape=None):
+def _get_matrix(obj, path, violations, shape=None):
     if path.split(".")[-1] not in obj:
-        if required:
-            violations.append(f"{path}: missing")
+        violations.append(f"{path}: missing")
         return None
     value = obj[path.split(".")[-1]]
     try:
@@ -119,15 +124,12 @@ def parse_config(path):
     if not isinstance(plant_raw, dict):
         violations.append("plant: missing or not an object")
     else:
-        kwargs = {}
-        for name in ("A", "B", "C", "Sigma", "W", "V", "Q", "R"):
-            kwargs[name] = _get_matrix(plant_raw, f"plant.{name}", violations,
-                                       required=True)
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
+        kwargs = {name: _get_matrix(plant_raw, f"plant.{name}", violations)
+                  for name in ("A", "B", "C", "Sigma", "W", "V", "Q", "R")}
         if not violations:
             try:
                 plant = Plant.create(**kwargs)
-            except (ContractError, PolgeoError) as exc:
+            except PolgeoError as exc:
                 violations.append(f"plant: {exc}")
     options = raw.get("options", {})
     if not isinstance(options, dict):
@@ -138,47 +140,51 @@ def parse_config(path):
     return ExperimentConfig(task=task, plant=plant, options=options, raw=raw)
 
 
-def _opt(cfg, key, default_key=None):
-    return cfg.options.get(key, DEFAULTS[default_key or key])
-
-
 # Options that must be finite numbers when given.
 _NUMERIC = ("tol", "max_iter", "alpha", "eta", "epsilon", "samples", "resolution",
             "grid", "refine_tol", "radius", "order", "seed")
 
 
+def _finite_number(value):
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
 def _option_violations(options):
     return [f"options.{key}: expected a finite number, got {options[key]!r}"
-            for key in _NUMERIC if key in options
-            and (isinstance(options[key], bool) or not isinstance(options[key], (int, float))
-                 or not math.isfinite(options[key]))]
+            for key in _NUMERIC if key in options and not _finite_number(options[key])]
 
 
-def _gain(cfg, key, violations):
-    return _get_matrix(cfg.options, f"options.{key}", violations,
-                       shape=(cfg.plant.m, cfg.plant.n))
+def _gain(plant, opts, key, violations):
+    return _get_matrix(opts, f"options.{key}", violations, shape=(plant.m, plant.n))
 
 
-def _dynamic_policy(cfg, key, violations):
-    value = cfg.options.get(key)
+def _dynamic_policy(plant, opts, violations):
+    value = opts.get("Kd0")
     if not isinstance(value, dict):
-        violations.append(f"options.{key}: missing or not an object")
+        violations.append("options.Kd0: missing or not an object")
         return None
     try:
-        return DynamicPolicy.create(np.asarray(value["A_K"], dtype=float),
-                                    np.asarray(value["B_K"], dtype=float),
-                                    np.asarray(value["C_K"], dtype=float))
+        Kd = DynamicPolicy.create(np.asarray(value["A_K"], dtype=float),
+                                  np.asarray(value["B_K"], dtype=float),
+                                  np.asarray(value["C_K"], dtype=float))
     except (KeyError, ValueError, ContractError) as exc:
-        violations.append(f"options.{key}: {exc}")
+        violations.append(f"options.Kd0: {exc}")
         return None
+    for name, M, shape in (("B_K", Kd.B_K, (Kd.order, plant.p)),
+                           ("C_K", Kd.C_K, (plant.m, Kd.order))):
+        if M.shape != shape:
+            violations.append(f"options.Kd0.{name}: expected shape {shape}, got {M.shape}")
+    return Kd
 
 
-def _slice_frame(cfg, size):
+def _slice_frame(opts, size):
     """origin (zero by default), dir1 and dir2 of a landscape slice, each
     flattened to `size` entries; the directions must be linearly independent."""
     violations = []
-    options = {"origin": np.zeros(size).tolist(), **cfg.options}
-    frame = [_get_matrix(options, f"options.{key}", violations)
+    given = {key: opts[key] for key in ("dir1", "dir2") if key in opts}
+    given["origin"] = opts.get("origin", np.zeros(size).tolist())
+    frame = [_get_matrix(given, f"options.{key}", violations)
              for key in ("origin", "dir1", "dir2")]
     for key, M in zip(("origin", "dir1", "dir2"), frame):
         if M is not None and M.size != size:
@@ -194,49 +200,65 @@ def _slice_frame(cfg, size):
     return frame
 
 
-def _constraint(cfg, violations):
-    constraint = cfg.options.get("constraint")
+def _box(opts, dim, violations, default=None):
+    """A scan box: `dim` [lo, hi] pairs of finite numbers."""
+    box = opts.get("box", default)
+    try:
+        B = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):
+        B = np.zeros(0)
+    if B.shape != (dim, 2) or not np.all(np.isfinite(B)):
+        violations.append(f"options.box: expected {dim} [lo, hi] pairs of finite "
+                          f"numbers, got {box!r}")
+    return B
+
+
+def _constraint(plant, opts, violations):
+    constraint = opts.get("constraint")
     kind = constraint.get("kind") if isinstance(constraint, dict) else None
     entry = {"sparsity": "mask", "output_feedback": "Cout"}.get(kind)
     if entry is None:
         violations.append(f"options.constraint.kind: unknown {kind!r}")
         return None
-    shape = (cfg.plant.m, cfg.plant.n) if kind == "sparsity" else None
+    shape = (plant.m, plant.n) if kind == "sparsity" else None
     M = _get_matrix(constraint, f"options.constraint.{entry}", violations, shape=shape)
     try:
         if M is not None and kind == "sparsity":
             return ConstraintSubspace.sparsity(M != 0.0)
         if M is not None:
-            return ConstraintSubspace.output_feedback(M, cfg.plant.m)
+            return ConstraintSubspace.output_feedback(M, plant.m)
     except ContractError as exc:
         violations.append(f"options.constraint.{entry}: {exc}")
     return None
 
 
-def _step_rule(cfg):
-    rule = _opt(cfg, "step_rule")
-    if rule.get("kind") == "fixed":
-        return lqr.FixedStep(eta=rule.get("eta"))
-    return lqr.CertificateStep(cap=float(rule.get("cap", 1.0)))
+def _step_rule(opts, violations):
+    rule = opts.get("step_rule", {"kind": "certificate", "cap": 1.0})
+    kind = rule.get("kind", "certificate") if isinstance(rule, dict) else None
+    value = rule.get("eta" if kind == "fixed" else "cap") if kind else None
+    if kind not in ("certificate", "fixed") or not (value is None or _finite_number(value)):
+        violations.append(f"options.step_rule: expected kind 'certificate' (with cap) or "
+                          f"'fixed' (with eta), each a finite number, got {rule!r}")
+        return None
+    if kind == "fixed":
+        return lqr.FixedStep(eta=value)
+    return lqr.CertificateStep(cap=1.0 if value is None else float(value))
 
 
-def _trace_summary(trace):
-    last = trace[-1]
-    return {"final_J": last.J, "grad_norm": last.grad_norm,
-            "iterations": last.iter, "rho": last.rho}
-
-
-def _run_task(cfg, outdir, seed):
+def _run_task(cfg, opts, outdir, seed):
     plant = cfg.plant
     extras = {}
     trace = None
     violations = []
 
-    if cfg.task in ("lqr_gd", "hewer", "structured_gd", "hinf_eval",
-                    "hinf_descent", "zo_gd"):
-        K0 = _gain(cfg, "K0" if cfg.task != "hinf_eval" else "K", violations)
+    def check():
         if violations:
             raise ConfigError(violations)
+
+    if cfg.task in ("lqr_gd", "hewer", "structured_gd", "hinf_eval",
+                    "hinf_descent", "zo_gd"):
+        K0 = _gain(plant, opts, "K0" if cfg.task != "hinf_eval" else "K", violations)
+        check()
 
     if cfg.task == "dare":
         P, Kstar = lqr.dare_solve(plant)
@@ -245,22 +267,23 @@ def _run_task(cfg, outdir, seed):
                        "final_J": ev.J,
                        "grad_norm": float(np.linalg.norm(
                            lqr.lqr_grad_riemannian(plant, Kstar)))})
-        return extras, trace
 
-    if cfg.task == "lqr_gd":
+    elif cfg.task == "lqr_gd":
+        direction = opts.choice("direction", "euclidean",
+                                ("euclidean", "riemannian", "pseudo_newton"), violations)
+        step_rule = _step_rule(opts, violations)
+        check()
         Kc = StaticGain.certify(plant, K0)
-        K, trace = lqr.gd_run(plant, Kc, direction=_opt(cfg, "direction"),
-                              step_rule=_step_rule(cfg), tol=_opt(cfg, "tol"),
-                              max_iter=int(_opt(cfg, "max_iter")))
-        extras.update(_trace_summary(trace))
+        K, trace = lqr.gd_run(plant, Kc, direction=direction, step_rule=step_rule,
+                              tol=opts.get("tol", 1e-8),
+                              max_iter=int(opts.get("max_iter", 1000)))
         extras["K_final"] = K.K.tolist()
-        return extras, trace
 
-    if cfg.task == "hewer":
+    elif cfg.task == "hewer":
         K = StaticGain.certify(plant, K0)
-        tol = cfg.options.get("tol", 1e-12)
+        tol = opts.get("tol", 1e-12)
         trace = []
-        for it in range(int(cfg.options.get("max_iter", 100))):
+        for it in range(int(opts.get("max_iter", 100))):
             ev = lqr.lqr_eval(plant, K)
             Knew = lqr.hewer_step(plant, K, ev)
             delta = float(np.linalg.norm(Knew.K - K.K))
@@ -269,65 +292,59 @@ def _run_task(cfg, outdir, seed):
             K = Knew
             if delta <= tol:
                 break
-        extras.update(_trace_summary(trace))
         extras["K_final"] = K.K.tolist()
-        return extras, trace
 
-    if cfg.task == "structured_gd":
-        sub = _constraint(cfg, violations)
-        if violations:
-            raise ConfigError(violations)
-        metric = LyapunovMetric() if _opt(cfg, "metric") == "lyapunov" else Frobenius()
+    elif cfg.task == "structured_gd":
+        sub = _constraint(plant, opts, violations)
+        metric = opts.choice("metric", "frobenius", ("frobenius", "lyapunov"), violations)
+        step_rule = _step_rule(opts, violations)
+        check()
         Kc = StaticGain.certify(plant, K0)
         K, trace = structured.structured_gd_run(
-            plant, Kc, sub, metric=metric, step_rule=_step_rule(cfg),
-            tol=_opt(cfg, "tol"), max_iter=int(_opt(cfg, "max_iter")))
-        extras.update(_trace_summary(trace))
+            plant, Kc, sub, metric=LyapunovMetric() if metric == "lyapunov" else Frobenius(),
+            step_rule=step_rule, tol=opts.get("tol", 1e-8),
+            max_iter=int(opts.get("max_iter", 1000)))
         extras["K_final"] = K.K.tolist()
-        return extras, trace
 
-    if cfg.task in ("lqg_gd", "lqg_rgd"):
-        Kd0 = _dynamic_policy(cfg, "Kd0", violations)
-        if violations:
-            raise ConfigError(violations)
+    elif cfg.task in ("lqg_gd", "lqg_rgd"):
+        Kd0 = _dynamic_policy(plant, opts, violations)
+        check()
         mode = "km_riemannian" if cfg.task == "lqg_rgd" else "euclidean"
-        weights = tuple(_opt(cfg, "km_weights"))
         Kd, trace, minimal = lqg.lqg_gd_run(
-            plant, Kd0, mode=mode, weights=weights, alpha=_opt(cfg, "alpha"),
-            tol=_opt(cfg, "tol"), max_iter=int(_opt(cfg, "max_iter")))
-        extras.update(_trace_summary(trace))
+            plant, Kd0, mode=mode, weights=tuple(opts.get("km_weights", [1.0, 1.0, 1.0])),
+            alpha=opts.get("alpha", 0.5), tol=opts.get("tol", 1e-8),
+            max_iter=int(opts.get("max_iter", 1000)))
         extras.update({"A_K": Kd.A_K.tolist(), "B_K": Kd.B_K.tolist(),
                        "C_K": Kd.C_K.tolist(), "is_minimal": minimal})
-        return extras, trace
 
-    if cfg.task == "hinf_eval":
+    elif cfg.task == "hinf_eval":
         Kc = StaticGain.certify(plant, K0)
-        ev = hinf.hinf_cost(plant, Kc, grid=int(_opt(cfg, "grid")),
-                            refine_tol=_opt(cfg, "refine_tol"))
+        ev = hinf.hinf_cost(plant, Kc, grid=int(opts.get("grid", 2048)),
+                            refine_tol=opts.get("refine_tol", 1e-10))
         extras.update({"final_J": ev.J, "omega_star": ev.omega_star,
                        "grid": ev.grid_size, "refined": ev.refined})
         print(f"J={ev.J:.9g} omega_star={ev.omega_star:.9g} "
               f"grid={ev.grid_size} refined={str(ev.refined).lower()}")
-        return extras, trace
 
-    if cfg.task == "hinf_descent":
+    elif cfg.task == "hinf_descent":
         Kc = StaticGain.certify(plant, K0)
+        # hinf_descent_run's own defaults, spelled out so the summary shows them
         K, trace = hinf.hinf_descent_run(
-            plant, Kc, sample_count=cfg.options.get("samples"),
-            sample_radius=cfg.options.get("radius"),
-            grid=int(_opt(cfg, "grid", "hinf_descent_grid")),
-            tol=cfg.options.get("tol", 1e-6),
-            max_iter=int(cfg.options.get("max_iter", 200)), rng_seed=seed)
-        extras.update(_trace_summary(trace))
+            plant, Kc, sample_count=int(opts.get("samples", 2 * plant.m * plant.n + 2)),
+            sample_radius=opts.get("radius", 1e-4 * (1.0 + float(np.linalg.norm(K0)))),
+            grid=int(opts.get("grid", 512)), tol=opts.get("tol", 1e-6),
+            max_iter=int(opts.get("max_iter", 200)), rng_seed=seed)
         extras["K_final"] = K.K.tolist()
-        return extras, trace
 
-    if cfg.task == "zo_gd":
+    elif cfg.task == "zo_gd":
+        estimator = opts.choice("estimator", "two_point",
+                                ("one_point", "two_point", "baseline"), violations)
+        check()
         if not is_stabilizing_static(plant, K0):
             raise InfeasibleError("zo_gd: K0 is not stabilizing")
-        zcfg = zeroth.ZoConfig(epsilon=_opt(cfg, "epsilon"),
-                               samples=int(_opt(cfg, "samples")),
-                               seed=seed, estimator=_opt(cfg, "estimator"))
+        zcfg = zeroth.ZoConfig(epsilon=opts.get("epsilon", 1e-3),
+                               samples=int(opts.get("samples", 2)),
+                               seed=seed, estimator=estimator)
         m, n = plant.m, plant.n
 
         def costfn(theta):
@@ -340,25 +357,23 @@ def _run_task(cfg, outdir, seed):
             return is_stabilizing_static(plant, theta.reshape(m, n))
 
         theta, trace = zeroth.zo_gd_run(
-            costfn, feasibility, K0.reshape(-1), zcfg, eta=_opt(cfg, "eta"),
-            tol=cfg.options.get("tol", 1e-8),
-            max_iter=int(_opt(cfg, "max_iter")),
+            costfn, feasibility, K0.reshape(-1), zcfg, eta=opts.get("eta", 0.1),
+            tol=opts.get("tol", 1e-8), max_iter=int(opts.get("max_iter", 1000)),
             rho_fn=lambda th: spectral_radius(
                 closed_loop_static(plant, th.reshape(m, n))))
-        extras.update(_trace_summary(trace))
         extras["K_final"] = theta.reshape(m, n).tolist()
         extras["rng"] = zeroth.RNG_NAME
         extras["zo_config"] = {"epsilon": zcfg.epsilon, "samples": zcfg.samples,
                                "seed": zcfg.seed, "estimator": zcfg.estimator}
-        return extras, trace
 
-    if cfg.task == "landscape":
-        kind = cfg.options.get("cost", "lqr")
-        resolution = int(_opt(cfg, "resolution"))
-        box = cfg.options.get("box", [[-1.0, 1.0], [-1.0, 1.0]])
+    elif cfg.task == "landscape":
+        kind = opts.choice("cost", "lqr", ("lqr", "hinf", "lqg"), violations)
+        resolution = int(opts.get("resolution", 61))
+        box = _box(opts, 2, violations, default=[[-1.0, 1.0], [-1.0, 1.0]])
+        check()
         m, n = plant.m, plant.n
         if kind in ("lqr", "hinf"):
-            origin, dir1, dir2 = (M.reshape(m, n) for M in _slice_frame(cfg, m * n))
+            origin, dir1, dir2 = (M.reshape(m, n) for M in _slice_frame(opts, m * n))
 
             if kind == "lqr":
                 def costfn(K):
@@ -370,8 +385,8 @@ def _run_task(cfg, outdir, seed):
                     if not is_stabilizing_static(plant, K):
                         raise InfeasibleError("unstable cell")
                     return hinf.hinf_cost(plant, StaticGain(K, True), grid=256).J
-        elif kind == "lqg":
-            q = int(cfg.options.get("order", plant.n))
+        else:
+            q = int(opts.get("order", plant.n))
             shape = (q * q + q * plant.p + plant.m * q,)
 
             def unpack(v):
@@ -380,15 +395,13 @@ def _run_task(cfg, outdir, seed):
                 c = v[q * q + q * plant.p:].reshape(plant.m, q)
                 return DynamicPolicy(A_K=a, B_K=b, C_K=c)
 
-            origin, dir1, dir2 = _slice_frame(cfg, shape[0])
+            origin, dir1, dir2 = _slice_frame(opts, shape[0])
 
             def costfn(v):
                 Kd = unpack(v)
                 if not is_stabilizing_dynamic(plant, Kd):
                     raise InfeasibleError("unstable cell")
                 return lqg.lqg_eval(plant, Kd).J
-        else:
-            raise ConfigError([f"options.cost: unknown {kind!r}"])
         s_vals, t_vals, grid = landscape_slice(costfn, origin, dir1, dir2,
                                                box, resolution)
         write_grid_csv(outdir / "grid.csv", s_vals, t_vals, grid)
@@ -396,17 +409,19 @@ def _run_task(cfg, outdir, seed):
                        "feasible_cells": int(np.sum(np.isfinite(grid))),
                        "min_value": (float(np.min(grid[np.isfinite(grid)]))
                                      if np.any(np.isfinite(grid)) else None)})
-        return extras, trace
 
-    if cfg.task == "connectivity":
-        kind = cfg.options.get("kind", "dynamic")
-        resolution = int(_opt(cfg, "resolution"))
-        box = cfg.options["box"]
+    elif cfg.task == "connectivity":
+        kind = opts.choice("kind", "dynamic", ("dynamic", "static"), violations)
+        resolution = int(opts.get("resolution", 61))
+        if resolution < 8:
+            violations.append(f"options.resolution: must be >= 8, got {resolution}")
         if kind == "dynamic":
-            q = int(cfg.options.get("order", 1))
+            q = int(opts.get("order", 1))
             if q != 1 or plant.p != 1 or plant.m != 1:
-                raise ConfigError(["options: dynamic connectivity scan supports "
-                                   "scalar (q=1, m=1, p=1) policies"])
+                violations.append("options: dynamic connectivity scan supports "
+                                  "scalar (q=1, m=1, p=1) policies")
+            box = _box(opts, 3, violations)
+            check()
 
             def membership(point):
                 a_k, b_k, c_k = point
@@ -415,15 +430,25 @@ def _run_task(cfg, outdir, seed):
                 return is_stabilizing_dynamic(plant, Kd)
         else:
             m, n = plant.m, plant.n
+            if m * n > 4:
+                violations.append("options: static connectivity scan supports at most "
+                                  "4 gain entries")
+            box = _box(opts, m * n, violations)
+            check()
 
             def membership(point):
                 K = np.asarray(point, dtype=float).reshape(m, n)
                 return is_stabilizing_static(plant, K)
         components = connectivity_scan(membership, box, resolution)
         extras.update({"components": components, "resolution": resolution})
-        return extras, trace
 
-    raise ConfigError([f"task: unhandled {cfg.task!r}"])
+    else:
+        raise ConfigError([f"task: unhandled {cfg.task!r}"])
+    if trace:
+        last = trace[-1]
+        extras.update({"final_J": last.J, "grad_norm": last.grad_norm,
+                       "iterations": last.iter, "rho": last.rho})
+    return extras, trace
 
 
 def run_experiment(cfg, outdir, seed=None):
@@ -433,8 +458,9 @@ def run_experiment(cfg, outdir, seed=None):
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    opts = Options(cfg.options)
     summary = {"task": cfg.task, "seed": seed, "config": cfg.raw,
-               "defaults": DEFAULTS, "error": None}
+               "options_in_force": opts.in_force, "error": None}
     start = time.perf_counter()
     code = 0
     try:
@@ -442,8 +468,8 @@ def run_experiment(cfg, outdir, seed=None):
         if violations:
             raise ConfigError(violations)
         if seed is None:
-            seed = summary["seed"] = int(cfg.options.get("seed", DEFAULTS["seed"]))
-        extras, trace = _run_task(cfg, outdir, seed)
+            seed = summary["seed"] = int(opts.get("seed", 0))
+        extras, trace = _run_task(cfg, opts, outdir, seed)
         summary.update(extras)
         if trace is not None:
             lqr.write_trace_jsonl(outdir / "trace.jsonl", trace)

@@ -100,42 +100,44 @@ def hinf_cost(plant, K, grid=2048, refine_tol=1e-10):
 
 
 def _min_norm_convex_combination(gradients):
-    """Minimum-norm point of the convex hull of a small set of gradients.
+    """Minimum-norm point of the convex hull of the gradients, by Wolfe's
+    algorithm (Math. Programming 11, 1976).
 
-    Enumerates simplex faces (exact for the sizes used here) and solves the
-    equality-constrained quadratic subproblem on each.
+    A corral S of affinely independent gradients holds the current point x
+    in its hull. Each major cycle adds the gradient most negatively aligned
+    with x; minor cycles move toward the affine minimizer of S, dropping
+    gradients whose weight would turn negative. Stops when
+    <x, g - x> >= -1e-12 max ||g||^2 for every gradient g, or when a cycle
+    makes no progress.
     """
-    flat = [g.reshape(-1) for g in gradients]
-    N = len(flat)
-    Gram = np.array([[float(fi @ fj) for fj in flat] for fi in flat])
-    best = None
-    best_val = math.inf
-    for mask in range(1, 2 ** N):
-        idx = [i for i in range(N) if mask >> i & 1]
-        k = len(idx)
-        sub = Gram[np.ix_(idx, idx)]
-        # minimize l^T sub l subject to sum(l) = 1 via KKT
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * sub
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        lam = sol[:k]
-        if np.any(lam < -1e-12):
-            continue
-        val = float(lam @ sub @ lam)
-        if val < best_val:
-            best_val = val
-            full = np.zeros(N)
-            full[idx] = np.clip(lam, 0.0, None)
-            best = full
-    combo = sum(w * g for w, g in zip(best, gradients))
-    return combo, math.sqrt(max(best_val, 0.0))
+    G = np.array([g.reshape(-1) for g in gradients])
+    sq = np.einsum("ij,ij->i", G, G)
+    S, lam = [int(np.argmin(sq))], np.ones(1)
+    x = G[S[0]]
+    while True:
+        j = int(np.argmin(G @ x))
+        if j in S or x @ x - G[j] @ x <= 1e-12 * np.max(sq):
+            break
+        S, lam = S + [j], np.append(lam, 0.0)
+        while True:
+            # affine minimizer of the corral, by least squares on differences
+            c = np.linalg.lstsq((G[S[1:]] - G[S[0]]).T, -G[S[0]], rcond=None)[0]
+            mu = np.concatenate(([1.0 - c.sum()], c))
+            if np.all(mu > 0.0):
+                lam = mu
+                break
+            # step from lam toward mu until the first weight reaches zero
+            neg = np.flatnonzero(mu <= 0.0)
+            ratios = lam[neg] / np.maximum(lam[neg] - mu[neg], np.finfo(float).tiny)
+            lam = lam + ratios.min() * (mu - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            S, lam = [i for i, w in zip(S, lam) if w > 0.0], lam[lam > 0.0]
+        x_new = lam @ G[S]
+        progress = x_new @ x_new < x @ x
+        x = x_new
+        if not progress:
+            break
+    return x.reshape(gradients[0].shape), float(np.linalg.norm(x))
 
 
 def _fd_gradient(costfn, K, h):

@@ -1,7 +1,8 @@
 """Discrete Lyapunov operator L(A, Q), its differential, and the trace identity.
 
 L(A, Q) is the unique P solving P = A P A^T + Q when rho(A) < 1, solved
-by Smith doubling.
+by Smith doubling. Stability is decided by the membership tests in
+policy_core; dlyap only guards, raising when its iteration does not converge.
 """
 
 from dataclasses import dataclass
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotSchurStableError
-from .numerics import spectral_radius
 
 SMITH_TOL = 1e-13
 SMITH_MAX_ITER = 64
@@ -27,8 +27,11 @@ def dlyap(A, Q):
     """Solve P = A P A^T + Q by Smith doubling.
 
     P_{k+1} = P_k + M_k P_k M_k^T with M_{k+1} = M_k^2, starting from
-    P_0 = Q, M_0 = A. Divergence of the iterate norm (which happens iff
-    rho(A) >= 1) raises NotSchurStableError.
+    P_0 = Q, M_0 = A, until ||M_k||_F^2 <= SMITH_TOL. Raises
+    NotSchurStableError when it does not converge (rho(A) >= 1): ||P_k||_F
+    or ||M_k||_F^2 exceeds DIVERGENCE_FACTOR * (1 + its start) or is not
+    finite, or M_k misses SMITH_TOL after SMITH_MAX_ITER doublings. The
+    growth bounds stop the iteration long before a product could overflow.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -37,21 +40,22 @@ def dlyap(A, Q):
         raise DimensionError(f"dlyap: A must be square, got {A.shape}")
     if Q.shape != (n, n):
         raise DimensionError(f"dlyap: Q shape {Q.shape} does not match A {A.shape}")
-    if spectral_radius(A) >= 1.0:
-        raise NotSchurStableError("dlyap: rho(A) >= 1")
     P = Q.copy()
     M = A.copy()
-    norm0 = 1.0 + np.linalg.norm(Q)
-    iterations = 0
-    for k in range(SMITH_MAX_ITER):
+    p_bound = DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(Q))
+    m_bound = DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(A) ** 2)
+    for iterations in range(SMITH_MAX_ITER + 1):
         m2 = float(np.linalg.norm(M)) ** 2
+        # NaN and inf fail these comparisons
+        if not (m2 <= m_bound and np.linalg.norm(P) <= p_bound):
+            raise NotSchurStableError("dlyap: Smith iteration diverged (rho(A) >= 1?)")
         if m2 <= SMITH_TOL:
             break
+        if iterations == SMITH_MAX_ITER:
+            raise NotSchurStableError(
+                f"dlyap: no convergence in {SMITH_MAX_ITER} doublings (rho(A) >= 1?)")
         P = P + M @ P @ M.T
         M = M @ M
-        iterations = k + 1
-        if np.linalg.norm(P) > DIVERGENCE_FACTOR * norm0:
-            raise NotSchurStableError("dlyap: Smith iteration diverged (rho(A) >= 1?)")
     residual = float(np.linalg.norm(P - A @ P @ A.T - Q))
     return LyapSolution(P=P, iterations=iterations, residual=residual)
 

@@ -1,12 +1,13 @@
 """Dense real/complex matrix substrate.
 
-The one module the rest of the package uses for raw linear algebra:
-products, linear solves, norms, spectral-radius and extreme-eigenvalue
-estimation. Tolerances are centralized here so every engine sees the same
+The one module the rest of the package uses for raw linear algebra: linear
+solves, norms, spectral radius and extreme eigenvalues, each a checked call
+into LAPACK. Tolerances are centralized here so every engine sees the same
 numerics.
 """
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ContractError, DimensionError, SingularMatrixError
 
@@ -29,15 +30,16 @@ def as_mat(x, name="matrix"):
 
 
 def solve_linear(G, b):
-    """Solve Gx = b by Gaussian elimination with partial pivoting.
+    """Solve Gx = b by LU with partial pivoting (LAPACK getrf/getrs).
 
     Works for real and complex inputs. Raises SingularMatrixError when a
-    pivot falls below PIVOT_FLOOR * ||G||_F.
+    pivot (a diagonal entry of U) falls below PIVOT_FLOOR * ||G||_F.
     """
-    G = np.array(G, copy=True)
+    G = np.asarray(G)
     b = np.asarray(b)
     squeeze = b.ndim == 1
-    b = np.array(b.reshape(-1, 1) if squeeze else b, copy=True)
+    if squeeze:
+        b = b.reshape(-1, 1)
     n = G.shape[0]
     if G.ndim != 2 or G.shape[1] != n:
         raise DimensionError(f"solve_linear: G must be square, got {G.shape}")
@@ -49,90 +51,58 @@ def solve_linear(G, b):
     scale = np.linalg.norm(G)
     if scale == 0.0:
         raise SingularMatrixError("solve_linear: zero matrix")
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(G[k:, k])))
-        if np.abs(G[p, k]) <= PIVOT_FLOOR * scale:
-            raise SingularMatrixError(f"solve_linear: pivot {abs(G[p, k]):.3e} below floor")
-        if p != k:
-            G[[k, p]] = G[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = G[k + 1:, k] / G[k, k]
-        G[k + 1:, k + 1:] -= np.outer(factors, G[k, k + 1:])
-        b[k + 1:] -= np.outer(factors, b[k])
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - G[k, k + 1:] @ x[k + 1:]) / G[k, k]
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (G, b))
+    lu, piv, _ = getrf(G)
+    pivot = float(np.min(np.abs(np.diag(lu))))
+    if not pivot > PIVOT_FLOOR * scale:
+        raise SingularMatrixError(f"solve_linear: pivot {pivot:.3e} below floor")
+    x, _ = getrs(lu, piv, b)
     return x[:, 0] if squeeze else x
 
 
 def spectral_radius(M):
-    """Spectral radius by norm-of-powers doubling.
-
-    r_k = ||M^(2^k)||_F^(1/2^k); repeated squaring with rescaling so
-    overflow cannot occur. Stops when successive log-estimates differ by
-    < 1e-10 or after 40 doublings.
-    """
+    """Largest eigenvalue modulus; inf when M has a non-finite entry."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"spectral_radius: square matrix required, got {M.shape}")
-    c = np.linalg.norm(M)
-    if c == 0.0:
-        return 0.0
-    N = M / c
-    log_c = np.log(c)
-    est = log_c
-    for k in range(1, 41):
-        N = N @ N
-        nu = np.linalg.norm(N)
-        if nu == 0.0:
-            return 0.0
-        log_c = 2.0 * log_c + np.log(nu)
-        N = N / nu
-        new_est = log_c / 2.0 ** k
-        if abs(new_est - est) < 1e-10:
-            est = new_est
-            break
-        est = new_est
-    return float(np.exp(est))
+    if not np.all(np.isfinite(M)):
+        return np.inf
+    return float(np.max(np.abs(np.linalg.eigvals(M)), initial=0.0))
 
 
-def _check_symmetric(S, name):
-    S = np.asarray(S, dtype=float)
+def _eigvalsh(S, name, dtype=float):
+    """Ascending eigenvalues of a square matrix that is symmetric (Hermitian
+    for complex dtype) within STRUCT_TOL, computed from its exact part."""
+    S = np.asarray(S, dtype=dtype)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError(f"{name}: square matrix required, got {S.shape}")
-    if np.linalg.norm(S - S.T) > STRUCT_TOL * (1.0 + np.linalg.norm(S)):
-        raise ContractError(f"{name}: input not symmetric within tolerance")
-    return S
+    SH = S.conj().T
+    if np.linalg.norm(S - SH) > STRUCT_TOL * (1.0 + np.linalg.norm(S)):
+        kind = "Hermitian" if dtype is complex else "symmetric"
+        raise ContractError(f"{name}: input not {kind} within tolerance")
+    return np.linalg.eigvalsh(0.5 * (S + SH))
 
 
 def sym_lambda_max(S):
     """Largest eigenvalue of a symmetric matrix."""
-    S = _check_symmetric(S, "sym_lambda_max")
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+    return float(_eigvalsh(S, "sym_lambda_max")[-1])
 
 
 def sym_lambda_min(S):
-    S = _check_symmetric(S, "sym_lambda_min")
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+    return float(_eigvalsh(S, "sym_lambda_min")[0])
 
 
 def spectral_norm(M):
-    """Largest singular value, computed as sqrt(lambda_max(M^T M))."""
+    """Largest singular value (SVD)."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    lam = sym_lambda_max(M.T @ M)
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(M, 2))
 
 
 def hermitian_lambda_max(H):
     """Largest (real) eigenvalue of a Hermitian matrix."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionError(f"hermitian_lambda_max: square matrix required, got {H.shape}")
-    if np.linalg.norm(H - H.conj().T) > STRUCT_TOL * (1.0 + np.linalg.norm(H)):
-        raise ContractError("hermitian_lambda_max: input not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[-1])
+    return float(_eigvalsh(H, "hermitian_lambda_max", complex)[-1])
 
 
 def matrix_rank(M, rtol=1e-8):

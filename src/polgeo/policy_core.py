@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, InfeasibleError, InternalInvariantError
 from .lyapunov import dlyap
@@ -26,20 +25,13 @@ from .numerics import (
 STABILITY_MARGIN = 1e-12
 
 
-def _check_psd(M, name):
+def _check_psd(M, name, definite=False):
     if np.linalg.norm(M - M.T) > 1e-10 * (1.0 + np.linalg.norm(M)):
         raise ContractError(f"{name} must be symmetric")
     lam = sym_lambda_min(M)
-    if lam < -1e-10:
-        raise ContractError(f"{name} must be PSD; min eigenvalue {lam:.3e}")
-
-
-def _check_pd(M, name):
-    if np.linalg.norm(M - M.T) > 1e-10 * (1.0 + np.linalg.norm(M)):
-        raise ContractError(f"{name} must be symmetric")
-    lam = sym_lambda_min(M)
-    if lam <= 0.0:
-        raise ContractError(f"{name} must be positive definite; min eigenvalue {lam:.3e}")
+    if lam <= 0.0 if definite else lam < -1e-10:
+        kind = "positive definite" if definite else "PSD"
+        raise ContractError(f"{name} must be {kind}; min eigenvalue {lam:.3e}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +87,9 @@ class Plant:
                                (V, (p, p), "V"), (Q, (n, n), "Q"), (R, (m, m), "R")):
             if M.shape != shape:
                 raise ContractError(f"{name} must have shape {shape}, got {M.shape}")
-        _check_pd(Sigma, "Sigma")
-        _check_pd(V, "V")
-        _check_pd(R, "R")
+        _check_psd(Sigma, "Sigma", definite=True)
+        _check_psd(V, "V", definite=True)
+        _check_psd(R, "R", definite=True)
         _check_psd(Q, "Q")
         _check_psd(W, "W")
         return Plant(A=A, B=B, C=C, Sigma=Sigma, W=W, V=V, Q=Q, R=R)
@@ -282,6 +274,9 @@ def connectivity_scan(membership, box, resolution):
     for idx in np.ndindex(*feasible.shape):
         point = tuple(axes[d][idx[d]] for d in range(dim))
         feasible[idx] = bool(membership(point))
+    # imported here, its only use: scipy.ndimage dominates the package's import time
+    from scipy import ndimage
+
     structure = ndimage.generate_binary_structure(dim, dim)
     _, count = ndimage.label(feasible, structure=structure)
     return int(count)

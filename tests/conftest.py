@@ -6,6 +6,7 @@ polynomial, finite differences, trajectory simulation) so agreement is
 meaningful.
 """
 
+import itertools
 import zlib
 
 import numpy as np
@@ -78,6 +79,39 @@ def trajectory_decays(Acl, steps=200):
     for _ in range(steps):
         x = Acl @ x
     return np.linalg.norm(x) < np.linalg.norm(x0)
+
+
+def min_norm_by_faces(gradients):
+    """Minimum-norm point of the convex hull of the gradients by enumerating
+    every face of the simplex of weights (2^N - 1 of them) and solving the
+    equality-constrained quadratic subproblem on each. Exponential: a
+    reference for small N only."""
+    flat = np.array([g.reshape(-1) for g in gradients])
+    N = len(flat)
+    gram = flat @ flat.T
+    best, best_val = None, np.inf
+    for k in range(1, N + 1):
+        for idx in itertools.combinations(range(N), k):
+            sub = gram[np.ix_(idx, idx)]
+            # minimize l^T sub l subject to sum(l) = 1 via KKT
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = 2.0 * sub
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            try:
+                lam = np.linalg.solve(kkt, rhs)[:k]
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(lam < -1e-12):
+                continue
+            val = float(lam @ sub @ lam)
+            if val < best_val:
+                best_val = val
+                best = np.zeros(N)
+                best[list(idx)] = np.clip(lam, 0.0, None)
+    return (best @ flat).reshape(gradients[0].shape), np.sqrt(max(best_val, 0.0))
 
 
 def random_stabilizable(rng, n, m, scale=0.5):

@@ -299,6 +299,14 @@ def two_state_plant_dict():
     ("structured_gd", {"K0": [[0.0, 0.0]], "constraint": {"kind": "sparsity"}},
      "options.constraint.mask"),
     ("landscape", {"dir1": [[1.0, 0.0]], "dir2": [[2.0, 0.0]]}, "options.dir1, options.dir2"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "direction": "foo"}, "options.direction"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "step_rule": "x"}, "options.step_rule"),
+    ("zo_gd", {"K0": [[0.0, 0.0]], "estimator": "x"}, "options.estimator"),
+    ("connectivity", {"kind": "static", "resolution": 9}, "options.box"),
+    ("lqg_gd", {"Kd0": {"A_K": [[0.5]], "B_K": [[0.0, 0.0]], "C_K": [[0.0]]}},
+     "options.Kd0.B_K"),
+    ("lqg_gd", {"Kd0": {"A_K": [[0.5]], "B_K": [[0.0]], "C_K": [[0.0], [0.0]]}},
+     "options.Kd0.C_K"),
 ])
 def test_exit_2_malformed_option_names_field(tmp_path, task, options, path):
     raw = {"task": task, "plant": two_state_plant_dict(), "options": options}
@@ -308,6 +316,18 @@ def test_exit_2_malformed_option_names_field(tmp_path, task, options, path):
     error = read_summary(out)["error"]
     assert error["kind"] == "config"
     assert any(v.startswith(path + ":") for v in error["violations"])
+
+
+def test_summary_echoes_options_in_force(tmp_path):
+    # hewer's own defaults, not those of the descent tasks
+    raw = {"task": "hewer", "plant": scalar_plant_dict(), "options": {"K0": [[-1.0]]}}
+    out = tmp_path / "out"
+    assert cli.main(["hewer", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    in_force = read_summary(out)["options_in_force"]
+    assert in_force["tol"] == 1e-12
+    assert in_force["max_iter"] == 100
+    assert in_force["K0"] == [[-1.0]]
+    assert "direction" not in in_force
 
 
 def test_landscape_near_boundary_cell_is_infeasible(tmp_path):

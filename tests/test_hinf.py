@@ -14,7 +14,8 @@ from polgeo import (
     is_stabilizing_static,
     spectral_radius,
 )
-from conftest import random_certified_gain, random_stabilizable
+from polgeo.hinf import _min_norm_convex_combination
+from conftest import min_norm_by_faces, random_certified_gain, random_stabilizable
 
 
 def gain(plant, K):
@@ -117,6 +118,34 @@ def test_descent_immediate_at_minimizer(ab09_plant):
     K0 = gain(ab09_plant, [[-0.9]])
     K, trace = hinf_descent_run(ab09_plant, K0, grid=256, max_iter=50)
     assert abs(K.K[0, 0] + 0.9) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2)])
+def test_min_norm_combination_matches_face_enumeration(rng, shape):
+    # offsets 0 put the origin inside most hulls; duplicates and N > dim + 1
+    # make the hull degenerate
+    for N in range(1, 8):
+        for offset in (0.0, 0.5, 3.0):
+            gradients = [offset + rng.standard_normal(shape) for _ in range(N)]
+            gradients.append(gradients[0].copy())
+            x, norm = _min_norm_convex_combination(gradients)
+            x_ref, norm_ref = min_norm_by_faces(gradients)
+            scale = max(np.linalg.norm(g) for g in gradients)
+            assert x.shape == shape
+            assert np.linalg.norm(x - x_ref) <= 1e-8 * scale
+            assert abs(norm - norm_ref) <= 1e-8 * scale
+            assert abs(norm - np.linalg.norm(x)) <= 1e-15 * scale
+
+
+def test_min_norm_combination_optimal_at_35_gradients(rng):
+    # 2^35 faces are out of reach for enumeration; check the optimality
+    # condition <x*, g_i - x*> >= -tol ||x*|| of the minimum-norm point
+    gradients = [0.5 + rng.standard_normal((2, 8)) for _ in range(35)]
+    x, norm = _min_norm_convex_combination(gradients)
+    scale = max(np.linalg.norm(g) for g in gradients)
+    assert norm > 0.1
+    for g in gradients:
+        assert np.sum(x * (g - x)) >= -1e-9 * scale * norm
 
 
 def test_coercivity_ray_probe(ab09_plant):

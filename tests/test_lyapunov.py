@@ -47,6 +47,17 @@ def test_dlyap_unstable_rejected():
         dlyap(np.array([[1.01]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("A, Q", [
+    (np.diag([1.5, 0.5]), np.diag([0.0, 1.0])),
+    (np.eye(2), np.zeros((2, 2))),
+])
+def test_dlyap_unstable_mode_hidden_from_Q_rejected(A, Q):
+    # P stays bounded while rho(A) >= 1, so only the iterate M_k = A^(2^k)
+    # shows it; the solve must raise before M_k overflows
+    with pytest.raises(NotSchurStableError):
+        dlyap(A, Q)
+
+
 def test_dlyap_symmetric_psd(rng):
     for _ in range(50):
         n = int(rng.integers(1, 6))

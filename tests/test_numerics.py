@@ -48,6 +48,22 @@ def test_solve_singular():
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0], [0.0]]))
 
 
+def test_solve_pivot_below_floor():
+    # the second pivot, 1.1e-15, is non-zero but below PIVOT_FLOOR * ||G||_F
+    with pytest.raises(SingularMatrixError):
+        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.array([1.0, 0.0]))
+
+
+def test_solve_complex_matches_numpy(rng):
+    # the resolvent solve of the frequency sweep: complex G, real or complex b
+    n = 5
+    G = np.exp(0.7j) * np.eye(n) - 0.3 * rng.standard_normal((n, n))
+    for b in (rng.standard_normal(n) + 1j * rng.standard_normal(n), np.eye(n)):
+        x = solve_linear(G, b)
+        assert x.shape == b.shape
+        assert np.allclose(x, np.linalg.solve(G, b), rtol=1e-12, atol=1e-12)
+
+
 def test_spectral_radius_diagonal():
     assert abs(spectral_radius(np.diag([0.3, -0.7])) - 0.7) < 1e-8
 
@@ -59,9 +75,9 @@ def test_spectral_radius_nilpotent():
 
 def test_spectral_radius_defective():
     # double eigenvalue 0.5 from lambda^2 - lambda + 0.25; a defective
-    # eigenvalue is ill-conditioned under repeated squaring (rounding of
-    # size delta shifts a double root by sqrt(delta)), so the achievable
-    # accuracy here is ~1e-6, not the generic 1e-8
+    # eigenvalue is ill-conditioned (rounding of size delta shifts a double
+    # root by sqrt(delta)), so the achievable accuracy here is ~1e-8, not
+    # the generic 1e-16
     M = np.array([[0.0, 1.0], [-0.25, 1.0]])
     assert abs(spectral_radius(M) - 0.5) < 1e-5 * 0.5
 
@@ -77,7 +93,7 @@ def test_spectral_radius_homogeneous(rng):
 
 
 def test_spectral_radius_large_norm():
-    # rescaling handles matrices whose powers would overflow
+    # entries whose squares would overflow
     M = 1e150 * np.eye(3)
     assert abs(spectral_radius(M) - 1e150) / 1e150 < 1e-8
 
