@@ -34,7 +34,6 @@ from .policy_core import (
     LyapunovMetric,
     Plant,
     StaticGain,
-    certified_step,
     closed_loop_matrix_dynamic,
     closed_loop_static,
     connectivity_scan,

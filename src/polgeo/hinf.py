@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InternalInvariantError
+from .errors import ContractError, InfeasibleError, InternalInvariantError
 from .lqr import CertificateStep, IterTrace, backtrack, initial_eta
 from .numerics import hermitian_lambda_max, solve_linear, spectral_radius
 from .policy_core import (
@@ -75,7 +75,7 @@ def hinf_cost(plant, K, grid=2048, refine_tol=1e-10):
     """Sweep [0, pi] (conjugate symmetry halves the work), then golden-section
     refine around the top 3 grid maxima (sup over omega can have near-ties)."""
     if grid < 64:
-        raise InfeasibleError("hinf_cost: grid must be >= 64")
+        raise ContractError("hinf_cost: grid must be >= 64")
     omegas = np.linspace(0.0, math.pi, grid)
     values = np.array([hinf_freq_response(plant, K, w) for w in omegas])
     order = np.argsort(values)[::-1]

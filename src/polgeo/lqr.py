@@ -9,6 +9,7 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from .errors import InfeasibleError, InternalInvariantError, StalledError
 from .lyapunov import dlyap, dlyap_diff
@@ -150,20 +151,15 @@ def lqr_hvp_euclidean(plant, K, V, ev=None):
     return lqr_hvp_pseudo(plant, K, V, ev) @ ev.Y_K + g @ dY
 
 
-def dare_solve(plant, tol=1e-12, max_iter=100_000):
-    """Fixed-point Riccati iteration from P0 = Q; returns (P*, K*)."""
+def dare_solve(plant):
+    """Stabilizing solution P* of the discrete algebraic Riccati equation
+    (SciPy's solve_discrete_are) and the optimal gain K*, certified;
+    InfeasibleError when there is none, e.g. for an unstabilizable (A, B)."""
     A, B, Q, R = plant.A, plant.B, plant.Q, plant.R
-    P = Q.copy()
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        gain = solve_linear(R + BtP @ B, BtP @ A)
-        Pn = Q + A.T @ P @ A - A.T @ P @ B @ gain
-        if np.linalg.norm(Pn - P) <= tol * (1.0 + np.linalg.norm(Pn)):
-            P = Pn
-            break
-        P = Pn
-    else:
-        raise InfeasibleError("dare_solve: no convergence; (A,B) stabilizability suspect")
+    try:
+        P = solve_discrete_are(A, B, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise InfeasibleError(f"dare_solve: no stabilizing solution ({exc})") from exc
     BtP = B.T @ P
     Kstar = -solve_linear(R + BtP @ B, BtP @ A)
     return P, StaticGain.certify(plant, Kstar)

@@ -11,9 +11,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import ContractError, DimensionError, SingularMatrixError
 
-# Centralized tolerances: structural checks, iterative convergence, pivot floor.
+# Centralized tolerances: structural checks, pivot floor.
 STRUCT_TOL = 1e-10
-CONV_TOL = 1e-12
 PIVOT_FLOOR = 1e-14
 
 

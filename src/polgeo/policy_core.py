@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InfeasibleError, InternalInvariantError
+from .errors import ContractError, InfeasibleError
 from .lyapunov import dlyap
 from .numerics import (
     as_mat,
@@ -240,18 +240,6 @@ def stability_certificate(plant, K, V):
     Acl = closed_loop_static(plant, K.K)
     lam = sym_lambda_max(dlyap(Acl.T, np.eye(plant.n)).P)
     return 1.0 / (2.0 * lam * bnorm)
-
-
-def certified_step(plant, K, V, eta_cap):
-    """K + min(eta_cap, s_K(V)) * V, re-verified stabilizing."""
-    V = np.asarray(V, dtype=float)
-    eta = min(eta_cap, stability_certificate(plant, K, V))
-    if not np.isfinite(eta):
-        eta = eta_cap
-    Knew = K.K + eta * V
-    if not is_stabilizing_static(plant, Knew):
-        raise InternalInvariantError("certified step produced an unstable gain")
-    return StaticGain(K=Knew, certified=True)
 
 
 def connectivity_scan(membership, box, resolution):

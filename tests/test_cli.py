@@ -1,10 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polgeo import ConfigError, InternalInvariantError, StalledError
+from polgeo import ConfigError, GramianSingularError, InternalInvariantError, StalledError
 from polgeo import cli
 from polgeo.lqr import IterTrace
 
@@ -285,6 +286,10 @@ def test_hewer_task(tmp_path):
     assert all(js[i + 1] <= js[i] + 1e-12 for i in range(len(js) - 1))
 
 
+FULL_ORDER_KD0 = {"A_K": [[0.5, 0.0], [0.0, 0.2]], "B_K": [[0.1], [0.2]],
+                  "C_K": [[0.1, 0.3]]}
+
+
 def two_state_plant_dict():
     return {"A": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [1.0]],
             "C": [[1.0, 0.0]], "Sigma": [[1.0, 0.0], [0.0, 1.0]],
@@ -307,6 +312,35 @@ def two_state_plant_dict():
      "options.Kd0.B_K"),
     ("lqg_gd", {"Kd0": {"A_K": [[0.5]], "B_K": [[0.0]], "C_K": [[0.0], [0.0]]}},
      "options.Kd0.C_K"),
+    ("zo_gd", {"K0": [[0.0, 0.0]], "samples": 0}, "options.samples"),
+    ("zo_gd", {"K0": [[0.0, 0.0]], "epsilon": 0}, "options.epsilon"),
+    ("lqg_rgd", {"Kd0": {"A_K": [[0.5]], "B_K": [[0.0]], "C_K": [[0.0]]}}, "options.Kd0"),
+    ("lqg_rgd", {"Kd0": FULL_ORDER_KD0, "km_weights": [0, 1, 1]}, "options.km_weights[0]"),
+    ("lqg_rgd", {"Kd0": FULL_ORDER_KD0, "km_weights": [1, 1]}, "options.km_weights"),
+    ("landscape", {"resolution": -2, "dir1": [[1.0, 0.0]], "dir2": [[0.0, 1.0]]},
+     "options.resolution"),
+    ("landscape", {"cost": "lqg", "order": -1, "dir1": [1.0], "dir2": [1.0]},
+     "options.order"),
+    ("hinf_eval", {"K": [[0.0, 0.0]], "grid": 10}, "options.grid"),
+    ("hinf_descent", {"K0": [[0.0, 0.0]], "grid": 10}, "options.grid"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "max_iters": 5}, "options.max_iters"),
+    ("zo_gd", {"K0": [[0.0, 0.0]], "samples": 2.5}, "options.samples"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "max_iter": -1}, "options.max_iter"),
+    ("landscape", {"resolution": 0, "dir1": [[1.0, 0.0]], "dir2": [[0.0, 1.0]]},
+     "options.resolution"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "step_rule": {"kind": "certificate", "cap": 0}},
+     "options.step_rule.cap"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "step_rule": {"kind": "fixed", "eta": -1}},
+     "options.step_rule.eta"),
+    ("hinf_descent", {"K0": [[0.0, 0.0]], "radius": -1}, "options.radius"),
+    ("hinf_descent", {"K0": [[0.0, 0.0]], "samples": -3}, "options.samples"),
+    ("lqr_gd", {"K0": [[0.0, 0.0]], "seed": -1}, "options.seed"),
+    ("structured_gd", {"K0": [[0.1, 0.1]],
+                       "constraint": {"kind": "sparsity", "mask": [[1.0, 0.0]]}},
+     "options.K0"),
+    ("structured_gd", {"K0": [[0.0, 0.0]],
+                       "constraint": {"kind": "output_feedback", "Cout": [[1.0]]}},
+     "options.constraint.Cout"),
 ])
 def test_exit_2_malformed_option_names_field(tmp_path, task, options, path):
     raw = {"task": task, "plant": two_state_plant_dict(), "options": options}
@@ -360,3 +394,44 @@ def test_exit_5_lqg_dual_cost_mismatch(tmp_path, lqg_dual_cost_mismatch):
                      "--out", str(out)])
     assert code == 5
     assert read_summary(out)["error"]["kind"] == "internal_invariant"
+
+
+def test_exit_5_escaped_package_error_names_class(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise GramianSingularError("gramians: Gramian not positive definite")
+
+    monkeypatch.setattr(cli.lqg, "lqg_gd_run", singular)
+    raw = {"task": "lqg_gd", "plant": scalar_plant_dict(a=0.9),
+           "options": {"Kd0": {"A_K": [[0.5]], "B_K": [[0.0]], "C_K": [[0.0]]}}}
+    out = tmp_path / "out"
+    code = cli.main(["lqg_gd", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
+    assert code == 5
+    error = read_summary(out)["error"]
+    assert error["kind"] == "internal"
+    assert error["class"] == "GramianSingularError"
+
+
+def test_hinf_descent_zero_samples_runs(tmp_path):
+    # no samples beyond the centre gradient is legal; the summary shows the
+    # radius default computed from K0
+    raw = {"task": "hinf_descent", "plant": scalar_plant_dict(a=0.9),
+           "options": {"K0": [[0.0]], "samples": 0, "grid": 64, "max_iter": 1}}
+    out = tmp_path / "out"
+    assert cli.main(["hinf_descent", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+    in_force = read_summary(out)["options_in_force"]
+    assert in_force["samples"] == 0
+    assert in_force["radius"] == 1e-4
+
+
+def test_readme_lists_every_option():
+    # the README's option table and cli.TASKS name the same (task, option) pairs
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Options", 1)[1].split("\n#", 1)[0]
+    listed = set()
+    for line in table.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            listed |= {(task, cells[0]) for task in cells[1].split(", ")}
+    assert listed == {(task, key) for task, options in cli.TASKS.items() for key in options}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polgeo import (
-    InfeasibleError,
+    ContractError,
     Plant,
     StaticGain,
     closed_loop_static,
@@ -67,7 +67,7 @@ def test_cost_scalar_analytic_values(ab09_plant):
 
 
 def test_cost_requires_grid(ab09_plant):
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(ContractError):
         hinf_cost(ab09_plant, gain(ab09_plant, [[0.0]]), grid=32)
 
 

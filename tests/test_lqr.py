@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,23 @@ def test_dare_zero_A():
     P, Kstar = dare_solve(plant)
     assert abs(P[0, 0] - 1.0) < 1e-12
     assert abs(Kstar.K[0, 0]) < 1e-12
+
+
+def test_dare_unstabilizable_is_infeasible():
+    # the mode at 2 is unstable and B cannot reach it
+    plant = Plant.create(A=np.diag([1.0, 2.0]), B=np.array([[1.0], [0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleError):
+            dare_solve(plant)
+
+
+def test_dare_unstable_A_zero_Q():
+    # Q = 0 still has a stabilizing solution: P = 3, K = -1.5, A + BK = 0.5
+    plant = Plant.create(A=np.array([[2.0]]), B=np.array([[1.0]]), Q=np.zeros((1, 1)))
+    P, Kstar = dare_solve(plant)
+    assert abs(P[0, 0] - 3.0) < 1e-12
+    assert abs(Kstar.K[0, 0] + 1.5) < 1e-12
 
 
 def test_dare_stationarity_random(rng):

@@ -10,7 +10,6 @@ from polgeo import (
     InfeasibleError,
     Plant,
     StaticGain,
-    certified_step,
     closed_loop_matrix_dynamic,
     closed_loop_static,
     connectivity_scan,
@@ -126,17 +125,6 @@ def test_certificate_monte_carlo_safety(rng):
             continue
         eta = s * float(rng.uniform(0.0, 1.0))
         assert spectral_radius(closed_loop_static(plant, K.K + eta * V)) < 1.0
-
-
-def test_certified_step_examples():
-    plant = Plant.create(A=np.array([[0.0]]), B=np.array([[1.0]]))
-    K = StaticGain.certify(plant, np.array([[-0.5]]))
-    stepped = certified_step(plant, K, np.array([[1.0]]), 1.0)
-    assert abs(stepped.K[0, 0] + 0.125) < 1e-12
-    unchanged = certified_step(plant, K, np.zeros((1, 1)), 1.0)
-    assert np.array_equal(unchanged.K, K.K)
-    frozen = certified_step(plant, K, np.array([[1.0]]), 0.0)
-    assert np.array_equal(frozen.K, K.K)
 
 
 def test_connectivity_static_interval():
