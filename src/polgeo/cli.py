@@ -470,6 +470,13 @@ def _run_task(task, plant, opts, outdir):
     return extras, trace
 
 
+def _write_summary(outdir, summary):
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_experiment(cfg, outdir, seed=None):
     """Execute a validated config; write trace.jsonl / summary.json (and
     grid.csv for grid tasks) into outdir. A seed given here overrides the
@@ -505,9 +512,7 @@ def run_experiment(cfg, outdir, seed=None):
         summary["error"] = {"kind": kind, "class": type(exc).__name__, "message": str(exc)}
         code = 5
     summary["wall_time"] = time.perf_counter() - start
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(outdir, summary)
     return code
 
 
@@ -518,15 +523,19 @@ def main(argv=None):
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = parse_config(args.config)
+        if cfg.task != args.task:
+            raise ConfigError([f"task: config says {cfg.task!r}, "
+                               f"command line says {args.task!r}"])
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
-        return 2
-    if cfg.task != args.task:
-        print(f"config error: task: config says {cfg.task!r}, "
-              f"command line says {args.task!r}", file=sys.stderr)
+        _write_summary(Path(args.out), {
+            "task": args.task, "seed": args.seed,
+            "config": None if cfg is None else cfg.raw, "options_in_force": {},
+            "error": {"kind": "config", "violations": exc.violations}})
         return 2
     return run_experiment(cfg, args.out, seed=args.seed)
 

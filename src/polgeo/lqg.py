@@ -29,6 +29,7 @@ from .policy_core import (
     DynamicPolicy,
     closed_loop_matrix_dynamic,
     is_stabilizing_dynamic,
+    stabilizing_radius,
 )
 
 
@@ -69,8 +70,8 @@ def lqg_eval(plant, Kd):
     cl = closed_loop(plant, Kd)
     noise = _blockdiag(plant.W, Kd.B_K @ plant.V @ Kd.B_K.T)
     weight = _blockdiag(plant.Q, Kd.C_K.T @ plant.R @ Kd.C_K)
-    X = dlyap(cl.Acl, noise).P
-    Y = dlyap(cl.Acl.T, weight).P
+    sol = dlyap(cl.Acl, noise, weight)
+    X, Y = sol.P, sol.Pt
     J = float(np.trace(weight @ X))
     J_dual = float(np.trace(noise @ Y))
     if abs(J - J_dual) > 1e-9 * (1.0 + abs(J)):
@@ -140,8 +141,8 @@ def gramians(plant, Kd):
     if not is_stabilizing_dynamic(plant, Kd):
         raise InfeasibleError("gramians: policy is not stabilizing")
     cl = closed_loop(plant, Kd)
-    Wc = dlyap(cl.Acl, cl.Bcl @ cl.Bcl.T).P
-    Wo = dlyap(cl.Acl.T, cl.Ccl.T @ cl.Ccl).P
+    sol = dlyap(cl.Acl, cl.Bcl @ cl.Bcl.T, cl.Ccl.T @ cl.Ccl)
+    Wc, Wo = sol.P, sol.Pt
     floor = 1e-12 * (1.0 + np.linalg.norm(Wc) + np.linalg.norm(Wo))
     if sym_lambda_min(Wc) <= floor or sym_lambda_min(Wo) <= floor:
         raise GramianSingularError("gramians: Gramian not positive definite "
@@ -251,8 +252,6 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
     """
     if plant.n != Kd0.order and mode == "km_riemannian":
         raise ContractError("lqg_gd_run: KM mode requires a full-order policy")
-    if not is_stabilizing_dynamic(plant, Kd0):
-        raise InfeasibleError("lqg_gd_run: Kd0 is not stabilizing")
 
     def direction(Kd, ev, it):
         if mode == "km_riemannian":
@@ -264,10 +263,10 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
     Kd, trace = descend(
         "lqg_gd_run", Kd0,
         evaluate=lambda Kd: lqg_eval(plant, Kd),
-        rho=lambda Kd, ev: spectral_radius(closed_loop_matrix_dynamic(plant, Kd)),
+        membership=lambda Kd: stabilizing_radius(closed_loop_matrix_dynamic(plant, Kd)),
         direction=direction,
         initial_step=lambda Kd, V: alpha,
         move=_policy_add,
-        accept=decrease(lambda Kd: is_stabilizing_dynamic(plant, Kd)),
+        accept=decrease,
         tol=tol, max_iter=max_iter)
     return Kd, trace, is_minimal(Kd)

@@ -9,12 +9,11 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from .errors import InfeasibleError, InternalInvariantError, StalledError
 from .lyapunov import dlyap, dlyap_diff
-from .numerics import solve_linear, spectral_norm, spectral_radius
-from .policy_core import StaticGain, closed_loop_static, is_stabilizing_static, stability_certificate
+from .numerics import solve_linear, spectral_norm
+from .policy_core import StaticGain, closed_loop_static, stability_certificate, stabilizing_radius
 
 MAX_BACKTRACKS = 30
 
@@ -31,45 +30,52 @@ def backtrack(accept, eta0):
     return eta, False
 
 
-def decrease(feasible):
+def decrease(candidate, membership, evaluate, J_ref, eta0):
     """Acceptance test for smooth costs.
 
-    A candidate is accepted when it is feasible, evaluates without
+    A candidate is accepted when it passes membership, evaluates without
     InfeasibleError, and strictly decreases J. If 30 halvings never find a
     strict decrease (the decrement is below round-off near a minimizer), the
     line search is retried once accepting non-increase within round-off
-    slack. Returns (eta, candidate, its evaluation) or None.
+    slack. Returns (eta, candidate, its spectral radius, its evaluation) or
+    None.
     """
-    def accept(candidate, evaluate, J_ref, eta0):
-        slack = 1e-14 * (1.0 + abs(J_ref))
-        found = []
+    slack = 1e-14 * (1.0 + abs(J_ref))
+    found = []
 
-        def ok(eta, strict):
-            x = candidate(eta)
-            if not feasible(x):
-                return False
-            try:
-                ev = evaluate(x)
-            except InfeasibleError:
-                return False
-            found[:] = [x, ev]
-            return ev.J < J_ref if strict else ev.J <= J_ref + slack
+    def ok(eta, strict):
+        x = candidate(eta)
+        rho = membership(x)
+        if rho is None:
+            return False
+        try:
+            ev = evaluate(x)
+        except InfeasibleError:
+            return False
+        found[:] = [x, rho, ev]
+        return ev.J < J_ref if strict else ev.J <= J_ref + slack
 
-        for strict in (True, False):
-            eta, accepted = backtrack(lambda e: ok(e, strict), eta0)
-            if accepted:
-                return (eta, *found)
-        return None
-    return accept
+    for strict in (True, False):
+        eta, accepted = backtrack(lambda e: ok(e, strict), eta0)
+        if accepted:
+            return (eta, *found)
+    return None
 
 
-def feasible_only(feasible):
-    """Acceptance test that evaluates no cost: the first feasible candidate.
-    Returns (eta, candidate, None) or None."""
-    def accept(candidate, evaluate, J_ref, eta0):
-        eta, accepted = backtrack(lambda e: feasible(candidate(e)), eta0)
-        return (eta, candidate(eta), None) if accepted else None
-    return accept
+def feasible_only(candidate, membership, evaluate, J_ref, eta0):
+    """Acceptance test that evaluates no cost: the first candidate that
+    passes membership. Returns (eta, candidate, its spectral radius, None)
+    or None."""
+    found = []
+
+    def ok(eta):
+        x = candidate(eta)
+        rho = membership(x)
+        found[:] = [x, rho]
+        return rho is not None
+
+    eta, accepted = backtrack(ok, eta0)
+    return (eta, *found, None) if accepted else None
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,8 @@ def lqr_eval(plant, K):
     _require_certified(K)
     Acl = closed_loop_static(plant, K.K)
     mid = plant.Q + K.K.T @ plant.R @ K.K
-    P = dlyap(Acl.T, mid).P
-    Y = dlyap(Acl, plant.Sigma).P
+    sol = dlyap(Acl, plant.Sigma, mid)
+    Y, P = sol.P, sol.Pt
     J = 0.5 * float(np.trace(P @ plant.Sigma))
     J_dual = 0.5 * float(np.trace(mid @ Y))
     if abs(J - J_dual) > 1e-9 * (1.0 + abs(J)):
@@ -155,6 +161,9 @@ def dare_solve(plant):
     """Stabilizing solution P* of the discrete algebraic Riccati equation
     (SciPy's solve_discrete_are) and the optimal gain K*, certified;
     InfeasibleError when there is none, e.g. for an unstabilizable (A, B)."""
+    # imported here, its only use: SciPy dominates the package's import time
+    from scipy.linalg import solve_discrete_are
+
     A, B, Q, R = plant.A, plant.B, plant.Q, plant.R
     try:
         P = solve_discrete_are(A, B, Q, R)
@@ -207,34 +216,40 @@ def initial_eta(plant, K, V, step_rule):
     return eta
 
 
-def descend(name, x0, evaluate, rho, direction, initial_step, move, accept,
-            tol, max_iter):
+def descend(name, x0, evaluate, membership, direction, initial_step, move,
+            accept, tol, max_iter):
     """The certified descent loop that every gradient driver configures.
 
-    evaluate(x) returns an evaluation with attribute J and raises
-    InfeasibleError off the feasible set; rho(x, ev) is the closed loop's
-    spectral radius; direction(x, ev, it) returns (V, grad_norm);
-    initial_step(x, V) is the first step tried; move(x, V, eta) is the
-    candidate at step eta; accept(candidate, evaluate, J, eta0) is the line
-    search (decrease or feasible_only). The accepted candidate's evaluation
-    carries over to the next iteration, so no iterate is evaluated twice.
-    Stops when grad_norm <= tol or at max_iter; a failed line search raises
-    StalledError carrying the trace so far. Returns (x, trace).
+    membership(x) is the spectral radius of x's closed loop when x passes
+    the membership test, else None; evaluate(x) returns an evaluation with
+    attribute J and raises InfeasibleError off the feasible set;
+    direction(x, ev, it) returns (V, grad_norm); initial_step(x, V) is the
+    first step tried; move(x, V, eta) is the candidate at step eta;
+    accept(candidate, membership, evaluate, J, eta0) is the line search
+    (decrease or feasible_only). The accepted candidate's evaluation and
+    spectral radius carry over to the next iteration, so no iterate is
+    evaluated or eigensolved twice. Raises InfeasibleError when x0 fails
+    membership. Stops when grad_norm <= tol or at max_iter; a failed line
+    search raises StalledError carrying the trace so far. Returns (x, trace).
     """
+    r = membership(x0)
+    if r is None:
+        raise InfeasibleError(f"{name}: start is not stabilizing")
     x, ev = x0, evaluate(x0)
     trace = []
     for it in range(max_iter + 1):
         V, gnorm = direction(x, ev, it)
-        r = rho(x, ev)
         if gnorm <= tol or it == max_iter:
             trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=r))
             break
-        step = accept(lambda eta: move(x, V, eta), evaluate, ev.J, initial_step(x, V))
+        step = accept(lambda eta: move(x, V, eta), membership, evaluate, ev.J,
+                      initial_step(x, V))
         if step is None:
             trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=r))
             raise StalledError(f"{name}: {MAX_BACKTRACKS} failed backtracks", trace)
-        eta, x, accepted_ev = step
+        eta, x, r_next, accepted_ev = step
         trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=r))
+        r = r_next
         ev = accepted_ev if accepted_ev is not None else evaluate(x)
     return x, trace
 
@@ -246,11 +261,11 @@ def static_descent(name, plant, K0, direction, step_rule, tol, max_iter):
     return descend(
         name, K0,
         evaluate=lambda K: lqr_eval(plant, K),
-        rho=lambda K, ev: spectral_radius(ev.A_cl),
+        membership=lambda K: stabilizing_radius(closed_loop_static(plant, K.K)),
         direction=direction,
         initial_step=lambda K, V: initial_eta(plant, K, V, step_rule),
         move=lambda K, V, eta: StaticGain(K.K + eta * V, True),
-        accept=decrease(lambda K: is_stabilizing_static(plant, K.K)),
+        accept=decrease,
         tol=tol, max_iter=max_iter)
 
 

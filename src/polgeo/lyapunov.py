@@ -5,6 +5,7 @@ by Smith doubling. Stability is decided by the membership tests in
 policy_core; dlyap only guards, raising when its iteration does not converge.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,43 +22,58 @@ class LyapSolution:
     P: np.ndarray
     iterations: int
     residual: float
+    Pt: np.ndarray | None = None
 
 
-def dlyap(A, Q):
-    """Solve P = A P A^T + Q by Smith doubling.
+def _sq(X):
+    """Squared Frobenius norm."""
+    v = X.ravel()
+    return float(v @ v)
 
-    P_{k+1} = P_k + M_k P_k M_k^T with M_{k+1} = M_k^2, starting from
-    P_0 = Q, M_0 = A, until ||M_k||_F^2 <= SMITH_TOL. Raises
-    NotSchurStableError when it does not converge (rho(A) >= 1): ||P_k||_F
-    or ||M_k||_F^2 exceeds DIVERGENCE_FACTOR * (1 + its start) or is not
-    finite, or M_k misses SMITH_TOL after SMITH_MAX_ITER doublings. The
-    growth bounds stop the iteration long before a product could overflow.
+
+def dlyap(A, Q, Qt=None):
+    """Solve P = A P A^T + Q by Smith doubling; given Qt, also solve
+    Pt = A^T Pt A + Qt on the same powers of A.
+
+    P_{k+1} = P_k + M_k P_k M_k^T (and Pt_{k+1} = Pt_k + M_k^T Pt_k M_k)
+    with M_{k+1} = M_k^2, starting from P_0 = Q, Pt_0 = Qt, M_0 = A, until
+    ||M_k||_F^2 <= SMITH_TOL. Raises NotSchurStableError when it does not
+    converge (rho(A) >= 1): ||M_k||_F^2, ||P_k||_F or ||Pt_k||_F exceeds
+    DIVERGENCE_FACTOR * (1 + its start) or is not finite, or M_k misses
+    SMITH_TOL after SMITH_MAX_ITER doublings. The growth bounds stop the
+    iteration long before a product could overflow. The residual is the
+    larger of the two fixed-point residuals.
     """
     A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
     n = A.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
         raise DimensionError(f"dlyap: A must be square, got {A.shape}")
-    if Q.shape != (n, n):
-        raise DimensionError(f"dlyap: Q shape {Q.shape} does not match A {A.shape}")
-    P = Q.copy()
+    rhs = [np.asarray(R, dtype=float) for R in ((Q,) if Qt is None else (Q, Qt))]
+    for R in rhs:
+        if R.shape != (n, n):
+            raise DimensionError(f"dlyap: Q shape {R.shape} does not match A {A.shape}")
+    P = [R.copy() for R in rhs]
+    p_bound = [DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(R)) for R in rhs]
     M = A.copy()
-    p_bound = DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(Q))
     m_bound = DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(A) ** 2)
     for iterations in range(SMITH_MAX_ITER + 1):
-        m2 = float(np.linalg.norm(M)) ** 2
+        m2 = _sq(M)
         # NaN and inf fail these comparisons
-        if not (m2 <= m_bound and np.linalg.norm(P) <= p_bound):
+        if not (m2 <= m_bound
+                and all(math.sqrt(_sq(Pk)) <= b for Pk, b in zip(P, p_bound))):
             raise NotSchurStableError("dlyap: Smith iteration diverged (rho(A) >= 1?)")
         if m2 <= SMITH_TOL:
             break
         if iterations == SMITH_MAX_ITER:
             raise NotSchurStableError(
                 f"dlyap: no convergence in {SMITH_MAX_ITER} doublings (rho(A) >= 1?)")
-        P = P + M @ P @ M.T
+        # zip stops at P's length: M_k serves P, its transpose Pt
+        P = [Pk + X @ Pk @ X.T for Pk, X in zip(P, (M, M.T))]
         M = M @ M
-    residual = float(np.linalg.norm(P - A @ P @ A.T - Q))
-    return LyapSolution(P=P, iterations=iterations, residual=residual)
+    residual = max(float(np.linalg.norm(Pk - X @ Pk @ X.T - R))
+                   for Pk, X, R in zip(P, (A, A.T), rhs))
+    return LyapSolution(P=P[0], iterations=iterations, residual=residual,
+                        Pt=None if Qt is None else P[1])
 
 
 def dlyap_diff(A, Q, E, F):
@@ -69,6 +85,7 @@ def dlyap_diff(A, Q, E, F):
 
 def lyap_trace_check(A, Q, Sigma):
     """Normalized residual of the trace identity tr(L(A^T,Q) Sigma) = tr(L(A,Sigma) Q)."""
-    lhs = float(np.trace(dlyap(A.T, Q).P @ Sigma))
-    rhs = float(np.trace(dlyap(A, Sigma).P @ Q))
+    sol = dlyap(A, Sigma, Q)
+    lhs = float(np.trace(sol.Pt @ Sigma))
+    rhs = float(np.trace(sol.P @ Q))
     return abs(lhs - rhs) / (1.0 + abs(rhs))

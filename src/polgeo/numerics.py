@@ -7,13 +7,16 @@ numerics.
 """
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ContractError, DimensionError, SingularMatrixError
 
 # Centralized tolerances: structural checks, pivot floor.
 STRUCT_TOL = 1e-10
 PIVOT_FLOOR = 1e-14
+
+# LAPACK (getrf, getrs) per dtype, resolved on first use: importing SciPy
+# dominates the package's import time
+_LU_FUNCS = {}
 
 
 def as_mat(x, name="matrix"):
@@ -50,7 +53,11 @@ def solve_linear(G, b):
     scale = np.linalg.norm(G)
     if scale == 0.0:
         raise SingularMatrixError("solve_linear: zero matrix")
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (G, b))
+    if dtype not in _LU_FUNCS:
+        from scipy.linalg import get_lapack_funcs
+
+        _LU_FUNCS[dtype] = get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+    getrf, getrs = _LU_FUNCS[dtype]
     lu, piv, _ = getrf(G)
     pivot = float(np.min(np.abs(np.diag(lu))))
     if not pivot > PIVOT_FLOOR * scale:

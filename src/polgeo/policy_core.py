@@ -206,12 +206,20 @@ def closed_loop_static(plant, K):
     return plant.A + plant.B @ np.asarray(K)
 
 
+def stabilizing_radius(Acl):
+    """The membership decision for a closed-loop state matrix: its spectral
+    radius when rho(Acl) < 1 with the hard margin, else None. Descent
+    records the radius of the candidate it accepts."""
+    rho = spectral_radius(Acl)
+    return rho if rho < 1.0 - STABILITY_MARGIN else None
+
+
 def is_stabilizing_static(plant, K):
     """K stabilizes iff rho(A + BK) < 1 (with the hard margin)."""
     K = np.asarray(K, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ContractError(f"K must have shape ({plant.m}, {plant.n}), got {K.shape}")
-    return spectral_radius(closed_loop_static(plant, K)) < 1.0 - STABILITY_MARGIN
+    return stabilizing_radius(closed_loop_static(plant, K)) is not None
 
 
 def closed_loop_matrix_dynamic(plant, Kd):
@@ -222,7 +230,7 @@ def closed_loop_matrix_dynamic(plant, Kd):
 
 
 def is_stabilizing_dynamic(plant, Kd):
-    return spectral_radius(closed_loop_matrix_dynamic(plant, Kd)) < 1.0 - STABILITY_MARGIN
+    return stabilizing_radius(closed_loop_matrix_dynamic(plant, Kd)) is not None
 
 
 def stability_certificate(plant, K, V):
@@ -234,7 +242,9 @@ def stability_certificate(plant, K, V):
     if not K.certified:
         raise InfeasibleError("stability_certificate requires a certified gain")
     V = np.asarray(V, dtype=float)
-    bnorm = spectral_norm(plant.B @ V)
+    # ||BV||_2 = ||RV||_2 for B = QR with orthonormal Q: an SVD of at most
+    # m rows instead of n
+    bnorm = spectral_norm(np.linalg.qr(plant.B, mode="r") @ V)
     if bnorm == 0.0:
         return math.inf
     Acl = closed_loop_static(plant, K.K)

@@ -6,6 +6,7 @@ polynomial, finite differences, trajectory simulation) so agreement is
 meaningful.
 """
 
+import dataclasses
 import itertools
 import zlib
 
@@ -134,6 +135,20 @@ def random_certified_gain(rng, plant, tries=100):
     return StaticGain(K=np.zeros((plant.m, plant.n)), certified=True)
 
 
+def record_iterates(monkeypatch, module, name):
+    """Spy on module.name, which a descent driver calls once per iteration as
+    f(plant, x, ...); returns the list of the iterates x it is called with."""
+    fn = getattr(module, name)
+    iterates = []
+
+    def spy(plant, x, *args, **kwargs):
+        iterates.append(x)
+        return fn(plant, x, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return iterates
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -141,16 +156,13 @@ def rng():
 
 @pytest.fixture
 def lqg_dual_cost_mismatch(monkeypatch):
-    """Corrupt every second Lyapunov solve inside lqg, so the two LQG cost
-    expressions disagree."""
+    """Corrupt the transposed solve Pt of every paired Lyapunov solve inside
+    lqg, so the two LQG cost expressions disagree."""
     from polgeo import dlyap, lqg
 
-    calls = []
-
-    def skewed(A, Q):
-        sol = dlyap(A, Q)
-        calls.append(None)
-        return sol if len(calls) % 2 else type(sol)(2.0 * sol.P, sol.iterations, sol.residual)
+    def skewed(A, Q, Qt=None):
+        sol = dlyap(A, Q, Qt)
+        return sol if Qt is None else dataclasses.replace(sol, Pt=2.0 * sol.Pt)
 
     monkeypatch.setattr(lqg, "dlyap", skewed)
 

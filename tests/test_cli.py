@@ -106,16 +106,25 @@ def test_summary_config_echo_reparses_equal(tmp_path):
 def test_exit_2_invalid_config(tmp_path, capsys):
     raw = {"task": "lqr_gd", "plant": scalar_plant_dict()}
     del raw["plant"]["R"]
-    code = cli.main(["lqr_gd", "--config", write_config(tmp_path, raw)])
+    out = tmp_path / "out"
+    code = cli.main(["lqr_gd", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
     assert code == 2
     assert "plant.R: missing" in capsys.readouterr().err
+    assert read_summary(out)["error"] == {"kind": "config",
+                                          "violations": ["plant.R: missing"]}
 
 
 def test_exit_2_task_mismatch(tmp_path, capsys):
     raw = {"task": "dare", "plant": scalar_plant_dict()}
-    code = cli.main(["lqr_gd", "--config", write_config(tmp_path, raw)])
+    out = tmp_path / "out"
+    code = cli.main(["lqr_gd", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
     assert code == 2
     assert "task" in capsys.readouterr().err
+    error = read_summary(out)["error"]
+    assert error["kind"] == "config"
+    assert error["violations"] == ["task: config says 'dare', command line says 'lqr_gd'"]
 
 
 def test_exit_2_missing_K0_written_to_summary(tmp_path):

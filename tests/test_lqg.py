@@ -20,9 +20,11 @@ from polgeo import (
     lqg_grad,
     saddle_policy,
     similarity_transform,
+    spectral_radius,
     transform_tangent,
 )
-from conftest import kron_lyap
+from polgeo import lqg
+from conftest import kron_lyap, record_iterates
 
 SADDLE_J = 5.263157894736842  # 1 / (1 - 0.81)
 
@@ -322,6 +324,19 @@ def test_lqg_gd_escapes_saddle(ab09_plant, rng):
     Kd, trace, minimal = lqg_gd_run(ab09_plant, Kd0, mode="euclidean",
                                     tol=1e-7, max_iter=3000)
     assert trace[-1].J < SADDLE_J - 1e-3
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "km_riemannian"])
+def test_lqg_gd_trace_rho_is_the_iterates(ab09_plant, monkeypatch, mode):
+    # a step of 2 is halved on most iterations; each record's rho must be
+    # its iterate's, not a rejected candidate's (km_grad calls lqg_grad once)
+    Kd0 = DynamicPolicy.create([[0.5]], [[0.3]], [[-0.2]])
+    iterates = record_iterates(monkeypatch, lqg, "lqg_grad")
+    _, trace, _ = lqg_gd_run(ab09_plant, Kd0, mode=mode, alpha=2.0, tol=1e-8,
+                             max_iter=300)
+    assert any(rec.step < 2.0 for rec in trace[:-1])
+    assert [rec.rho for rec in trace] == [
+        spectral_radius(closed_loop_matrix_dynamic(ab09_plant, Kd)) for Kd in iterates]
 
 
 def test_lqg_gd_terminates_at_transformed_optimum(rng):

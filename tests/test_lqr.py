@@ -25,7 +25,8 @@ from polgeo import (
     spectral_radius,
     write_trace_jsonl,
 )
-from conftest import fd_grad, random_certified_gain, random_stabilizable
+from polgeo import lqr
+from conftest import fd_grad, random_certified_gain, random_stabilizable, record_iterates
 
 GOLDEN_K = -0.6180339887498949
 GOLDEN_P = 1.6180339887498949
@@ -258,6 +259,20 @@ def test_gd_monotone_and_certified(rng):
     js = [rec.J for rec in trace]
     assert all(js[i + 1] <= js[i] + 1e-12 for i in range(len(js) - 1))
     assert all(rec.rho < 1.0 for rec in trace)
+
+
+@pytest.mark.parametrize("direction", ["euclidean", "riemannian", "pseudo_newton"])
+def test_gd_trace_rho_is_the_iterates(rng, monkeypatch, direction):
+    # a step of 2 is rejected (unstable or not decreasing) and halved on most
+    # iterations; each record's rho must be its iterate's, not a candidate's
+    plant = random_stabilizable(rng, 3, 2, scale=0.9)
+    K0 = random_certified_gain(rng, plant)
+    iterates = record_iterates(monkeypatch, lqr, "_descent_direction")
+    _, trace = gd_run(plant, K0, direction=direction, step_rule=FixedStep(eta=2.0),
+                      tol=1e-8, max_iter=300)
+    assert any(rec.step < 2.0 for rec in trace[:-1])
+    assert [rec.rho for rec in trace] == [
+        spectral_radius(closed_loop_static(plant, K.K)) for K in iterates]
 
 
 def test_gd_fixed_step(rng):

@@ -58,6 +58,44 @@ def test_dlyap_unstable_mode_hidden_from_Q_rejected(A, Q):
         dlyap(A, Q)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_dlyap_paired_vs_kron_oracle(rng, n):
+    for _ in range(10):
+        A = stable_matrix(rng, n, scale=0.9)
+        Q, Qt = psd_matrix(rng, n), psd_matrix(rng, n)
+        sol = dlyap(A, Q, Qt)
+        for P, oracle in ((sol.P, kron_lyap(A, Q)), (sol.Pt, kron_lyap(A.T, Qt))):
+            assert np.max(np.abs(P - oracle)) <= 1e-9 * (1.0 + np.max(np.abs(oracle)))
+        single = dlyap(A, Q)
+        # one doubling loop: the second right-hand side costs no iterations
+        assert sol.iterations == single.iterations
+        assert np.array_equal(sol.P, single.P)
+        assert sol.residual < 1e-10 * (1.0 + np.max(np.abs(sol.Pt)))
+
+
+@pytest.mark.parametrize("A, Q", [
+    (np.diag([1.5, 0.5]), np.diag([0.0, 1.0])),
+    (np.eye(2), np.zeros((2, 2))),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+])
+def test_dlyap_paired_unstable_rejected_on_each_side(A, Q):
+    # the inputs of the single solve above on either side of a pair, the
+    # other side zero; for the Jordan block the solution outgrows its
+    # bound before M_k does
+    with pytest.raises(NotSchurStableError):
+        dlyap(A, Q, np.zeros((2, 2)))
+    with pytest.raises(NotSchurStableError):
+        dlyap(A.T, np.zeros((2, 2)), Q)
+
+
+def test_dlyap_paired_nonfinite_side_rejected():
+    # A converges, so only the side's own bound can raise
+    A, Q, bad = 0.5 * np.eye(2), np.eye(2), np.full((2, 2), np.nan)
+    for args in ((A, bad, Q), (A, Q, bad)):
+        with pytest.raises(NotSchurStableError):
+            dlyap(*args)
+
+
 def test_dlyap_symmetric_psd(rng):
     for _ in range(50):
         n = int(rng.integers(1, 6))

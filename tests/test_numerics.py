@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import polgeo
 
 from polgeo import (
     DimensionError,
@@ -151,3 +158,12 @@ def test_hermitian_lambda_max_rank_one(rng):
 def test_hermitian_lambda_max_rejects_nonhermitian():
     with pytest.raises(ContractError):
         hermitian_lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_import_loads_no_scipy():
+    # SciPy is imported on first use (LU solves, the Riccati oracle, scans)
+    env = {**os.environ, "PYTHONPATH": str(Path(polgeo.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, polgeo; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

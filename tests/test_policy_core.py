@@ -13,6 +13,7 @@ from polgeo import (
     closed_loop_matrix_dynamic,
     closed_loop_static,
     connectivity_scan,
+    dlyap,
     is_stabilizing_dynamic,
     is_stabilizing_static,
     landscape_slice,
@@ -104,6 +105,24 @@ def test_certificate_homogeneity(rng):
     s = stability_certificate(plant, K, V)
     for c in (0.5, 2.0, 7.3):
         assert abs(stability_certificate(plant, K, c * V) - s / c) < 1e-12 * s / c
+
+
+@pytest.mark.parametrize("n, m, zero_column", [
+    (5, 2, False), (4, 4, False), (2, 4, False), (4, 3, True)])
+def test_certificate_matches_full_svd_formula(rng, n, m, zero_column):
+    # the certificate takes ||BV||_2 from B's triangular factor; compare with
+    # 1 / (2 lambda_max(L(A_cl^T, I)) ||BV||_2) by an n x n SVD
+    plant = random_stabilizable(rng, n, m)
+    if zero_column:
+        B = plant.B.copy()
+        B[:, 1] = 0.0
+        plant = Plant.create(A=plant.A, B=B, R=plant.R)
+    K = random_certified_gain(rng, plant)
+    for _ in range(5):
+        V = rng.standard_normal((m, n))
+        lam = np.linalg.eigvalsh(dlyap(closed_loop_static(plant, K.K).T, np.eye(n)).P)[-1]
+        expected = 1.0 / (2.0 * lam * np.linalg.norm(plant.B @ V, 2))
+        assert abs(stability_certificate(plant, K, V) - expected) <= 1e-12 * expected
 
 
 def test_certificate_requires_certified(rng):

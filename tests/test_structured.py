@@ -4,19 +4,23 @@ import pytest
 from polgeo import (
     ConstraintSubspace,
     ContractError,
+    FixedStep,
     Frobenius,
     LyapunovMetric,
     Plant,
     StaticGain,
+    closed_loop_static,
     dare_solve,
     gd_run,
     lqr_eval,
     lqr_grad_euclidean,
     structured_gd_run,
     structured_grad,
+    spectral_radius,
     tangential_project,
 )
-from conftest import random_certified_gain, random_stabilizable
+from polgeo import structured
+from conftest import random_certified_gain, random_stabilizable, record_iterates
 
 
 @pytest.fixture
@@ -184,6 +188,20 @@ def test_structured_gd_diagonal_beats_raster(slqr_plant):
             J = 0.5 * float(np.trace((np.eye(2) + Kd.T @ Kd) @ Y))
             best = min(best, J)
     assert J_final <= best + 1e-9
+
+
+@pytest.mark.parametrize("metric", [Frobenius(), LyapunovMetric()])
+def test_structured_trace_rho_is_the_iterates(slqr_plant, monkeypatch, metric):
+    # a step of 2 is halved on most iterations; each record's rho must be
+    # its iterate's, not a rejected candidate's
+    sub = ConstraintSubspace.sparsity(np.eye(2, dtype=bool))
+    iterates = record_iterates(monkeypatch, structured, "structured_grad")
+    _, trace = structured_gd_run(slqr_plant, diag_gain(slqr_plant, -0.3, -0.3), sub,
+                                 metric=metric, step_rule=FixedStep(eta=2.0),
+                                 tol=1e-8, max_iter=300)
+    assert any(rec.step < 2.0 for rec in trace[:-1])
+    assert [rec.rho for rec in trace] == [
+        spectral_radius(closed_loop_static(slqr_plant, K.K)) for K in iterates]
 
 
 def test_structured_iterates_stay_masked(slqr_plant):
