@@ -1,4 +1,4 @@
-"""Dynamic-output-feedback LQG: closed-loop assembly, cost and gradient,
+"""Dynamic-output-feedback LQG: cost and gradient, closed-loop Gramians,
 similarity transforms, minimality, the saddle construction, the
 similarity-invariant KM metric and its Riemannian gradient, and the
 Euclidean / Riemannian descent drivers.
@@ -8,6 +8,10 @@ Conventions: the closed loop is
     [y; u]   = diag(C, C_K) [x; xi] + [v; 0]
 X = L(A_cl, diag(W, B_K V B_K^T)) and Y = L(A_cl^T, diag(Q, C_K^T R C_K));
 J = tr(diag(Q, C_K^T R C_K) X) = tr(diag(W, B_K V B_K^T) Y).
+
+The evaluations here do not decide stability: callers gate on the
+membership test in policy_core, and for a closed loop that is not Schur
+stable dlyap raises NotSchurStableError, an InfeasibleError.
 """
 
 from dataclasses import dataclass
@@ -17,27 +21,14 @@ import numpy as np
 from .errors import (
     ContractError,
     GramianSingularError,
-    InfeasibleError,
     InternalInvariantError,
     MinimalityLostError,
     SingularMatrixError,
 )
 from .lqr import decrease, descend
 from .lyapunov import dlyap
-from .numerics import matrix_rank, solve_linear, spectral_radius, sym_lambda_min
-from .policy_core import (
-    DynamicPolicy,
-    closed_loop_matrix_dynamic,
-    is_stabilizing_dynamic,
-    stabilizing_radius,
-)
-
-
-@dataclass(frozen=True)
-class ClosedLoop:
-    Acl: np.ndarray
-    Bcl: np.ndarray
-    Ccl: np.ndarray
+from .numerics import matrix_rank, solve_linear, sym_lambda_min
+from .policy_core import DynamicPolicy, closed_loop_matrix_dynamic, stabilizing_radius
 
 
 @dataclass(frozen=True)
@@ -56,21 +47,11 @@ def _blockdiag(M1, M2):
     return out
 
 
-def closed_loop(plant, Kd):
-    Acl = closed_loop_matrix_dynamic(plant, Kd)
-    Bcl = _blockdiag(np.eye(plant.n), Kd.B_K)
-    Ccl = _blockdiag(plant.C, Kd.C_K)
-    return ClosedLoop(Acl=Acl, Bcl=Bcl, Ccl=Ccl)
-
-
 def lqg_eval(plant, Kd):
     """LQG cost via both Lyapunov solves, cross-checked."""
-    if not is_stabilizing_dynamic(plant, Kd):
-        raise InfeasibleError("lqg_eval: policy is not stabilizing")
-    cl = closed_loop(plant, Kd)
     noise = _blockdiag(plant.W, Kd.B_K @ plant.V @ Kd.B_K.T)
     weight = _blockdiag(plant.Q, Kd.C_K.T @ plant.R @ Kd.C_K)
-    sol = dlyap(cl.Acl, noise, weight)
+    sol = dlyap(closed_loop_matrix_dynamic(plant, Kd), noise, weight)
     X, Y = sol.P, sol.Pt
     J = float(np.trace(weight @ X))
     J_dual = float(np.trace(noise @ Y))
@@ -96,20 +77,24 @@ def lqg_grad(plant, Kd, ev=None):
     return dA, dB, dC
 
 
-def similarity_transform(Kd, T):
-    """Coordinate change (T A_K T^-1, T B_K, C_K T^-1)."""
+def _similarity(T, name):
+    """T as a float array and its inverse; a singular T is a ContractError."""
     T = np.asarray(T, dtype=float)
     try:
-        Tinv = solve_linear(T, np.eye(T.shape[0]))
+        return T, solve_linear(T, np.eye(T.shape[0]))
     except SingularMatrixError as exc:
-        raise ContractError("similarity_transform: T is singular") from exc
+        raise ContractError(f"{name}: T is singular") from exc
+
+
+def similarity_transform(Kd, T):
+    """Coordinate change (T A_K T^-1, T B_K, C_K T^-1)."""
+    T, Tinv = _similarity(T, "similarity_transform")
     return DynamicPolicy(A_K=T @ Kd.A_K @ Tinv, B_K=T @ Kd.B_K, C_K=Kd.C_K @ Tinv)
 
 
 def transform_tangent(V, T):
     """Apply the similarity differential to a tangent triple (dA, dB, dC)."""
-    T = np.asarray(T, dtype=float)
-    Tinv = solve_linear(T, np.eye(T.shape[0]))
+    T, Tinv = _similarity(T, "transform_tangent")
     dA, dB, dC = V
     return (T @ dA @ Tinv, T @ dB, dC @ Tinv)
 
@@ -126,9 +111,9 @@ def saddle_policy(plant, Lambda):
     """The zero policy (Lambda, 0, 0): a stationary point when the plant is
     open-loop stable."""
     Lambda = np.asarray(Lambda, dtype=float)
-    if spectral_radius(Lambda) >= 1.0:
+    if stabilizing_radius(Lambda) is None:
         raise ContractError("saddle_policy: Lambda must be Schur stable")
-    if spectral_radius(plant.A) >= 1.0:
+    if stabilizing_radius(plant.A) is None:
         raise ContractError("saddle_policy: plant must be open-loop stable")
     q = Lambda.shape[0]
     return DynamicPolicy(A_K=Lambda, B_K=np.zeros((q, plant.p)),
@@ -138,10 +123,9 @@ def saddle_policy(plant, Lambda):
 def gramians(plant, Kd):
     """Closed-loop controllability/observability Gramians; both must be SPD,
     which holds exactly when the policy is minimal."""
-    if not is_stabilizing_dynamic(plant, Kd):
-        raise InfeasibleError("gramians: policy is not stabilizing")
-    cl = closed_loop(plant, Kd)
-    sol = dlyap(cl.Acl, cl.Bcl @ cl.Bcl.T, cl.Ccl.T @ cl.Ccl)
+    sol = dlyap(closed_loop_matrix_dynamic(plant, Kd),
+                _blockdiag(np.eye(plant.n), Kd.B_K @ Kd.B_K.T),
+                _blockdiag(plant.C.T @ plant.C, Kd.C_K.T @ Kd.C_K))
     Wc, Wo = sol.P, sol.Pt
     floor = 1e-12 * (1.0 + np.linalg.norm(Wc) + np.linalg.norm(Wo))
     if sym_lambda_min(Wc) <= floor or sym_lambda_min(Wo) <= floor:
@@ -160,78 +144,66 @@ def _embed_E(plant, V):
     return out
 
 
-def _embed_F(plant, V):
-    dB = V[1]
-    return _blockdiag(np.zeros((plant.n, plant.n)), dB)
-
-
-def _embed_G(plant, V):
-    dC = V[2]
-    return _blockdiag(np.zeros((plant.p, plant.n)), dC)
-
-
-def km_inner(plant, Kd, V1, V2, weights=(1.0, 1.0, 1.0), grams=None):
-    """Similarity-invariant (KM) inner product of tangent triples.
-
-    w1 tr(Wo E(V1) Wc E(V2)^T) + w2 tr(F(V1)^T Wo F(V2))
-    + w3 tr(G(V1) Wc G(V2)^T), where E/F/G embed the tangent into the
-    closed-loop differential blocks. Requires w1 > 0, w2, w3 >= 0.
-    """
+def _check_weights(weights):
     w1, w2, w3 = weights
     if not (w1 > 0.0 and w2 >= 0.0 and w3 >= 0.0):
-        raise ContractError("km_inner: weights need w1 > 0, w2, w3 >= 0")
-    Wc, Wo = grams if grams is not None else gramians(plant, Kd)
+        raise ContractError("KM metric: weights need w1 > 0, w2, w3 >= 0")
+    return w1, w2, w3
+
+
+def km_inner(plant, Kd, V1, V2, weights=(1.0, 1.0, 1.0)):
+    """Similarity-invariant (KM) inner product of tangent triples.
+
+    w1 tr(Wo E(V1) Wc E(V2)^T) + w2 tr(dB1^T Wo22 dB2) + w3 tr(dC1 Wc22 dC2^T),
+    where E embeds the tangent into the closed-loop differential and Wc22,
+    Wo22 are the controller blocks of the Gramians. Requires w1 > 0,
+    w2, w3 >= 0.
+    """
+    w1, w2, w3 = _check_weights(weights)
+    Wc, Wo = gramians(plant, Kd)
+    n = plant.n
     E1, E2 = _embed_E(plant, V1), _embed_E(plant, V2)
-    F1, F2 = _embed_F(plant, V1), _embed_F(plant, V2)
-    G1, G2 = _embed_G(plant, V1), _embed_G(plant, V2)
-    total = w1 * float(np.trace(Wo @ E1 @ Wc @ E2.T))
-    if w2 != 0.0:
-        total += w2 * float(np.trace(F1.T @ Wo @ F2))
-    if w3 != 0.0:
-        total += w3 * float(np.trace(G1 @ Wc @ G2.T))
-    return total
+    return (w1 * float(np.trace(Wo @ E1 @ Wc @ E2.T))
+            + w2 * float(np.trace(V1[1].T @ Wo[n:, n:] @ V2[1]))
+            + w3 * float(np.trace(V1[2] @ Wc[n:, n:] @ V2[2].T)))
 
 
-def _tangent_basis(q, p, m):
-    basis = []
-    for i in range(q):
-        for j in range(q):
-            dA = np.zeros((q, q)); dA[i, j] = 1.0
-            basis.append((dA, np.zeros((q, p)), np.zeros((m, q))))
-    for i in range(q):
-        for j in range(p):
-            dB = np.zeros((q, p)); dB[i, j] = 1.0
-            basis.append((np.zeros((q, q)), dB, np.zeros((m, q))))
-    for i in range(m):
-        for j in range(q):
-            dC = np.zeros((m, q)); dC[i, j] = 1.0
-            basis.append((np.zeros((q, q)), np.zeros((q, p)), dC))
-    return basis
+def _km_gram(plant, q, Wc, Wo, weights):
+    """The matrix G with km_inner(V1, V2) = x1^T G x2 over
+    x = (vec dA, vec dB, vec dC), row-major. vec E(V) = Phi_E x, whose
+    blocks map dA to itself in [n:, n:] (the identity), dB to dB C in
+    [n:, :n] (kron(I_q, C^T)) and dC to B dC in [:n, n:] (kron(B, I_q));
+    the E term is w1 Phi_E^T (Wo kron Wc) Phi_E, and the dB and dC terms
+    are diagonal blocks."""
+    w1, w2, w3 = weights
+    n, m, p = plant.n, plant.m, plant.p
+    a, b = q * q, q * q + q * p
+    cells = np.arange((n + q) ** 2).reshape(n + q, n + q)
+    Phi = np.zeros(((n + q) ** 2, b + m * q))
+    Phi[cells[n:, n:].ravel(), np.arange(a)] = 1.0
+    Phi[cells[n:, :n].ravel(), a:b] = np.kron(np.eye(q), plant.C.T)
+    Phi[cells[:n, n:].ravel(), b:] = np.kron(plant.B, np.eye(q))
+    G = w1 * (Phi.T @ np.kron(Wo, Wc) @ Phi)
+    G[a:b, a:b] += w2 * np.kron(Wo[n:, n:], np.eye(p))
+    G[b:, b:] += w3 * np.kron(np.eye(m), Wc[n:, n:])
+    return G
 
 
 def km_grad(plant, Kd, weights=(1.0, 1.0, 1.0), ev=None):
-    """Riemannian gradient under the KM metric via the Gram system over the
-    canonical tangent basis; defining property
+    """Riemannian gradient under the KM metric, solved against its Gram
+    matrix; defining property
     km_inner(km_grad, W) = <euclidean grad, W>_F for all tangents W."""
-    grams = gramians(plant, Kd)
-    dA, dB, dC = lqg_grad(plant, Kd, ev)
-    q, p, m = Kd.order, plant.p, plant.m
-    basis = _tangent_basis(q, p, m)
-    dim = len(basis)
-    G = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            G[i, j] = km_inner(plant, Kd, basis[i], basis[j], weights, grams)
-            G[j, i] = G[i, j]
-    b = np.concatenate([dA.reshape(-1), dB.reshape(-1), dC.reshape(-1)])
+    weights = _check_weights(weights)
+    Wc, Wo = gramians(plant, Kd)
+    g = lqg_grad(plant, Kd, ev)
+    q, p = Kd.order, plant.p
     try:
-        c = solve_linear(G, b)
+        c = solve_linear(_km_gram(plant, q, Wc, Wo, weights),
+                         np.concatenate([x.reshape(-1) for x in g]))
     except SingularMatrixError as exc:
         raise MinimalityLostError("km_grad: KM Gram system singular") from exc
-    gA = c[: q * q].reshape(q, q)
-    gB = c[q * q: q * q + q * p].reshape(q, p)
-    gC = c[q * q + q * p:].reshape(m, q)
-    return gA, gB, gC
+    gA, gB, gC = np.split(c, [q * q, q * q + q * p])
+    return gA.reshape(q, q), gB.reshape(q, p), gC.reshape(plant.m, q)
 
 
 def _policy_add(Kd, V, scale):

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from polgeo import Plant, StaticGain, is_stabilizing_static
+from polgeo import Plant, StaticGain, is_stabilizing_static, km_inner, lqg_grad
 
 
 def char_poly_det(S, lam):
@@ -133,6 +133,27 @@ def random_certified_gain(rng, plant, tries=100):
         if is_stabilizing_static(plant, K):
             return StaticGain(K=K, certified=True)
     return StaticGain(K=np.zeros((plant.m, plant.n)), certified=True)
+
+
+def km_grad_by_basis(plant, Kd, weights=(1.0, 1.0, 1.0)):
+    """KM gradient from the definition: the Gram matrix of km_inner over the
+    canonical tangent basis, then a solve against the Euclidean partials."""
+    shapes = [(Kd.order, Kd.order), (Kd.order, plant.p), (plant.m, Kd.order)]
+    basis = []
+    for k, shape in enumerate(shapes):
+        for idx in np.ndindex(*shape):
+            V = [np.zeros(s) for s in shapes]
+            V[k][idx] = 1.0
+            basis.append(tuple(V))
+    dim = len(basis)
+    G = np.empty((dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            G[i, j] = G[j, i] = km_inner(plant, Kd, basis[i], basis[j], weights)
+    b = np.concatenate([x.reshape(-1) for x in lqg_grad(plant, Kd)])
+    c = np.linalg.solve(G, b)
+    sizes = np.cumsum([r * s for r, s in shapes])[:-1]
+    return tuple(x.reshape(s) for x, s in zip(np.split(c, sizes), shapes))
 
 
 def record_iterates(monkeypatch, module, name):

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,9 +27,13 @@ from polgeo import (
     transform_tangent,
 )
 from polgeo import lqg
-from conftest import kron_lyap, record_iterates
+from conftest import km_grad_by_basis, kron_lyap, record_iterates
 
 SADDLE_J = 5.263157894736842  # 1 / (1 - 0.81)
+
+# (n, q, m, p): q < n and m, p > 1 fix the orientation of the Kronecker blocks
+KM_SHAPES = [(2, 2, 1, 1), (3, 3, 2, 2), (4, 2, 2, 3)]
+KM_WEIGHTS = [(1.0, 1.0, 1.0), (2.0, 0.5, 0.0), (1.0, 0.0, 3.0)]
 
 
 def random_plant(rng, n=2, m=1, p=1, scale=0.4):
@@ -62,10 +69,20 @@ def test_eval_zero_policy_value(ab09_plant):
 
 
 def test_eval_rejects_unstable():
-    plant = Plant.create(A=np.array([[1.1]]), B=np.array([[1.0]]))
-    Kd = DynamicPolicy.create(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    with pytest.raises(InfeasibleError):
-        lqg_eval(plant, Kd)
+    # in the second case the controller mode 1.5 is reached by neither the
+    # noise nor the weight (B_K = C_K = 0): only dlyap's bound on the powers
+    # of A_cl sees it
+    cases = [(Plant.create(A=np.array([[1.1]]), B=np.array([[1.0]])),
+              DynamicPolicy.create([[0.0]], [[0.0]], [[0.0]])),
+             (Plant.create(A=np.array([[0.5]]), B=np.array([[1.0]])),
+              DynamicPolicy.create([[1.5]], [[0.0]], [[0.0]]))]
+    for plant, Kd in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError):
+                lqg_eval(plant, Kd)
+            with pytest.raises(InfeasibleError):
+                gramians(plant, Kd)
 
 
 def test_eval_dual_cost_mismatch_is_internal_invariant(ab09_plant, lqg_dual_cost_mismatch):
@@ -179,6 +196,8 @@ def test_similarity_rejects_singular(rng):
     Kd = DynamicPolicy.create(np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(ContractError):
         similarity_transform(Kd, np.ones((2, 2)))
+    with pytest.raises(ContractError):
+        transform_tangent(random_tangent(rng, 2, 1, 1), np.ones((2, 2)))
 
 
 def test_minimality_cases(rng):
@@ -201,6 +220,9 @@ def test_saddle_rejects_unstable_inputs(ab09_plant):
     unstable_plant = Plant.create(A=np.array([[1.1]]), B=np.array([[1.0]]))
     with pytest.raises(ContractError):
         saddle_policy(unstable_plant, np.array([[0.0]]))
+    # inside the membership test's margin
+    with pytest.raises(ContractError):
+        saddle_policy(ab09_plant, np.array([[1.0 - 1e-13]]))
 
 
 def test_saddle_curvature_both_signs(ab09_plant, rng):
@@ -286,18 +308,33 @@ def test_km_inner_rejects_bad_weights(rng):
     V = random_tangent(rng, 2, 1, 1)
     with pytest.raises(ContractError):
         km_inner(plant, Kd, V, V, weights=(0.0, 1.0, 1.0))
+    with pytest.raises(ContractError):
+        km_grad(plant, Kd, weights=(0.0, 1.0, 1.0))
 
 
 def test_km_grad_defining_property(rng):
-    plant = random_plant(rng)
-    Kd = random_minimal_policy(rng, plant)
-    g = km_grad(plant, Kd)
-    eg = lqg_grad(plant, Kd)
-    for _ in range(50):
-        W = random_tangent(rng, 2, 1, 1)
-        lhs = km_inner(plant, Kd, g, W)
-        rhs = sum(float(np.sum(a * b)) for a, b in zip(eg, W))
-        assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
+    for (n, q, m, p), weights in itertools.product(KM_SHAPES, KM_WEIGHTS):
+        plant = random_plant(rng, n, m, p)
+        Kd = random_minimal_policy(rng, plant, q)
+        g = km_grad(plant, Kd, weights)
+        eg = lqg_grad(plant, Kd)
+        for _ in range(50):
+            W = random_tangent(rng, q, p, m)
+            lhs = km_inner(plant, Kd, g, W, weights)
+            rhs = sum(float(np.sum(a * b)) for a, b in zip(eg, W))
+            assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
+
+
+@pytest.mark.parametrize("weights", KM_WEIGHTS)
+@pytest.mark.parametrize("shape", KM_SHAPES)
+def test_km_grad_matches_basis_reference(rng, shape, weights):
+    n, q, m, p = shape
+    plant = random_plant(rng, n, m, p)
+    Kd = random_minimal_policy(rng, plant, q)
+    g = km_grad(plant, Kd, weights)
+    ref = km_grad_by_basis(plant, Kd, weights)
+    scale = max(np.max(np.abs(x)) for x in ref)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(g, ref)) <= 1e-10 * scale
 
 
 def test_km_grad_equivariance(rng):
