@@ -182,6 +182,21 @@ def _box(dim):
     return lambda value, path, plant, opts: _matrix(value, path, shape=(dim(plant, opts), 2))
 
 
+MAX_SCAN_CELLS = 10**7
+
+
+def _resolution(lo, dim):
+    """A scan resolution: an integer >= lo whose grid, resolution**d cells
+    for d = dim(plant, opts) axes, holds at most MAX_SCAN_CELLS cells."""
+    def parse(value, path, plant, opts):
+        resolution, d = _count(lo)(value, path), dim(plant, opts)
+        if resolution ** d > MAX_SCAN_CELLS:
+            raise _invalid(path, f"expected at most {MAX_SCAN_CELLS} grid cells, "
+                                 f"got {resolution}**{d} = {resolution ** d}")
+        return resolution
+    return parse
+
+
 def _scan_kind(value, path, plant, opts):
     """'dynamic' (scalar policies on a plant with m = p = 1) or 'static'
     (at most 4 gain entries)."""
@@ -191,6 +206,11 @@ def _scan_kind(value, path, plant, opts):
     if kind == "static" and plant.m * plant.n > 4:
         raise _invalid(path, "the static scan supports at most 4 gain entries")
     return kind
+
+
+def _scan_dim(plant, opts):
+    """Axes of a connectivity scan: (a_K, b_K, c_K) or the gain's entries."""
+    return 3 if opts["kind"] == "dynamic" else plant.m * plant.n
 
 
 def _slice_size(plant, opts):
@@ -259,14 +279,14 @@ TASKS = {task: {**options, "seed": (0, _count(0))} for task, options in {
               "eta": (0.1, _POSITIVE), **_DESCENT},
     "landscape": {"cost": ("lqr", _one_of("lqr", "hinf", "lqg")),
                   "order": (lambda plant, opts: plant.n, _count(1)),
-                  "resolution": (61, _count(2)),
+                  "resolution": (61, _resolution(2, lambda plant, opts: 2)),
                   "box": ([[-1.0, 1.0], [-1.0, 1.0]], _box(lambda plant, opts: 2)),
                   "origin": (lambda plant, opts: np.zeros(_slice_size(plant, opts)).tolist(),
                              _slice_vector),
                   "dir1": (REQUIRED, _slice_vector), "dir2": (REQUIRED, _slice_dir2)},
-    "connectivity": {"kind": ("dynamic", _scan_kind), "resolution": (61, _count(8)),
-                     "box": (REQUIRED, _box(lambda plant, opts: 3 if opts["kind"] == "dynamic"
-                                            else plant.m * plant.n))},
+    "connectivity": {"kind": ("dynamic", _scan_kind),
+                     "resolution": (61, _resolution(8, _scan_dim)),
+                     "box": (REQUIRED, _box(_scan_dim))},
     "dare": {},
 }.items()}
 
@@ -467,7 +487,17 @@ def _run_task(task, plant, opts, outdir):
         last = trace[-1]
         extras.update({"final_J": last.J, "grad_norm": last.grad_norm,
                        "iterations": last.iter, "rho": last.rho})
+    if task in ("lqr_gd", "structured_gd", "lqg_gd", "lqg_rgd"):
+        extras["stop"] = _stop(trace[-1], opts)
     return extras, trace
+
+
+def _stop(last, opts):
+    """Why a run of lqr.descend under lqr.decrease returned: "tol",
+    "max_iter" or "round_off", from its last record and the options in force."""
+    if last.grad_norm <= opts["tol"]:
+        return "tol"
+    return "max_iter" if last.iter == opts["max_iter"] else "round_off"
 
 
 def _write_summary(outdir, summary):

@@ -30,20 +30,23 @@ def backtrack(accept, eta0):
     return eta, False
 
 
+ROUND_OFF = "round_off"
+
+
 def decrease(candidate, membership, evaluate, J_ref, eta0):
     """Acceptance test for smooth costs.
 
     A candidate is accepted when it passes membership, evaluates without
-    InfeasibleError, and strictly decreases J. If 30 halvings never find a
-    strict decrease (the decrement is below round-off near a minimizer), the
-    line search is retried once accepting non-increase within round-off
-    slack. Returns (eta, candidate, its spectral radius, its evaluation) or
-    None.
+    InfeasibleError, and strictly decreases J. Returns (eta, candidate, its
+    spectral radius, its evaluation). When 30 halvings find no strict
+    decrease but some candidate came within round-off slack of J_ref (the
+    decrement fell below J's round-off near a minimizer), returns ROUND_OFF:
+    the iterate cannot be improved at this precision. Otherwise None.
     """
     slack = 1e-14 * (1.0 + abs(J_ref))
-    found = []
+    found, within_slack = [], []
 
-    def ok(eta, strict):
+    def ok(eta):
         x = candidate(eta)
         rho = membership(x)
         if rho is None:
@@ -53,13 +56,14 @@ def decrease(candidate, membership, evaluate, J_ref, eta0):
         except InfeasibleError:
             return False
         found[:] = [x, rho, ev]
-        return ev.J < J_ref if strict else ev.J <= J_ref + slack
+        if ev.J <= J_ref + slack:
+            within_slack.append(eta)
+        return ev.J < J_ref
 
-    for strict in (True, False):
-        eta, accepted = backtrack(lambda e: ok(e, strict), eta0)
-        if accepted:
-            return (eta, *found)
-    return None
+    eta, accepted = backtrack(ok, eta0)
+    if accepted:
+        return (eta, *found)
+    return ROUND_OFF if within_slack else None
 
 
 def feasible_only(candidate, membership, evaluate, J_ref, eta0):
@@ -217,47 +221,69 @@ def initial_eta(plant, K, V, step_rule):
 
 
 def descend(name, x0, evaluate, membership, direction, initial_step, move,
-            accept, tol, max_iter):
+            accept, tol, max_iter, slope=None):
     """The certified descent loop that every gradient driver configures.
 
     membership(x) is the spectral radius of x's closed loop when x passes
     the membership test, else None; evaluate(x) returns an evaluation with
     attribute J and raises InfeasibleError off the feasible set;
-    direction(x, ev, it) returns (V, grad_norm); initial_step(x, V) is the
-    first step tried; move(x, V, eta) is the candidate at step eta;
+    direction(x, ev, it) returns (V, grad_norm); initial_step(x, V) bounds
+    the first step tried; move(x, V, eta) is the candidate at step eta;
     accept(candidate, membership, evaluate, J, eta0) is the line search
-    (decrease or feasible_only). The accepted candidate's evaluation and
-    spectral radius carry over to the next iteration, so no iterate is
-    evaluated or eigensolved twice. Raises InfeasibleError when x0 fails
-    membership. Stops when grad_norm <= tol or at max_iter; a failed line
-    search raises StalledError carrying the trace so far. Returns (x, trace).
+    (decrease or feasible_only). With slope(x, ev, V) = <grad J(x), V>, the
+    first step is warm-started: after the first iteration it is
+    min(initial_step(x, V), eta_prev <grad J_prev, V_prev> / <grad J, V>),
+    the step whose first-order decrease repeats the last accepted step's
+    (Nocedal & Wright, Numerical Optimization, eq. 3.59), so it never
+    exceeds initial_step. The accepted candidate's evaluation and spectral
+    radius carry over to the next iteration, so no iterate is evaluated or
+    eigensolved twice. Raises InfeasibleError when x0 fails membership.
+
+    Stops when grad_norm <= tol, at max_iter, or at round-off (accept
+    returns ROUND_OFF: no halving strictly decreases J, but one stays within
+    its round-off slack); each stop returns the current iterate, whose last
+    trace record has step 0.0. A failed line search raises StalledError
+    carrying the trace so far. Returns (x, trace).
     """
     r = membership(x0)
     if r is None:
         raise InfeasibleError(f"{name}: start is not stabilizing")
     x, ev = x0, evaluate(x0)
     trace = []
+    last = None  # eta_prev <grad J_prev, V_prev>, when warm-starting
     for it in range(max_iter + 1):
         V, gnorm = direction(x, ev, it)
-        if gnorm <= tol or it == max_iter:
+        stop = gnorm <= tol or it == max_iter
+        if not stop:
+            eta0 = initial_step(x, V)
+            d = None if slope is None else slope(x, ev, V)
+            if last is not None and d < 0.0:
+                eta0 = min(eta0, last / d)
+            step = accept(lambda eta: move(x, V, eta), membership, evaluate, ev.J, eta0)
+            stop = step is ROUND_OFF
+        if stop or step is None:
             trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=r))
-            break
-        step = accept(lambda eta: move(x, V, eta), membership, evaluate, ev.J,
-                      initial_step(x, V))
-        if step is None:
-            trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=0.0, rho=r))
+            if stop:
+                break
             raise StalledError(f"{name}: {MAX_BACKTRACKS} failed backtracks", trace)
         eta, x, r_next, accepted_ev = step
         trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=r))
         r = r_next
         ev = accepted_ev if accepted_ev is not None else evaluate(x)
+        last = eta * d if d is not None and d < 0.0 else None
     return x, trace
 
 
 def static_descent(name, plant, K0, direction, step_rule, tol, max_iter):
     """descend over static gains with the LQR cost. A candidate is tagged
     certified when built; the acceptance test checks its membership before
-    anything evaluates it, and only accepted candidates become iterates."""
+    anything evaluates it, and only accepted candidates become iterates.
+    Under CertificateStep the first step is warm-started from the slope
+    <grad J, V> = tr((grad_R Y_K)^T V), the Euclidean gradient's inner
+    product with V; a FixedStep always tries its fixed step first."""
+    def slope(K, ev, V):
+        return float(np.sum(lqr_grad_euclidean(plant, K, ev) * V))
+
     return descend(
         name, K0,
         evaluate=lambda K: lqr_eval(plant, K),
@@ -266,16 +292,22 @@ def static_descent(name, plant, K0, direction, step_rule, tol, max_iter):
         initial_step=lambda K, V: initial_eta(plant, K, V, step_rule),
         move=lambda K, V, eta: StaticGain(K.K + eta * V, True),
         accept=decrease,
-        tol=tol, max_iter=max_iter)
+        tol=tol, max_iter=max_iter,
+        slope=slope if isinstance(step_rule, CertificateStep) else None)
 
 
 def gd_run(plant, K0, direction="euclidean", step_rule=CertificateStep(),
            tol=1e-8, max_iter=1000):
     """Certified descent driver.
 
-    Every iterate is certified stabilizing; the step is halved (up to 30
-    times) until the candidate both stays stabilizing and decreases J.
-    Terminates when the gradient norm falls below tol.
+    Every iterate is certified stabilizing. The first step tried is
+    min(cap, s_K(V)) under CertificateStep, warm-started after the first
+    iteration to min(cap, s_K(V), eta_prev <grad J_prev, V_prev> / <grad J, V>)
+    (see descend), or the fixed step; it is halved (up to 30 times) until
+    the candidate both stays stabilizing and strictly decreases J.
+    Terminates when the gradient norm falls below tol, at max_iter, or at
+    round-off: when no halving decreases J strictly but one stays within
+    1e-14 (1 + |J|) of it, the current iterate is returned.
     """
     _require_certified(K0)
     return static_descent(

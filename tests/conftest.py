@@ -170,6 +170,46 @@ def record_iterates(monkeypatch, module, name):
     return iterates
 
 
+def record_first_steps(monkeypatch):
+    """Spy on every line search of lqr.descend; returns the list of the
+    first steps tried, one per line search."""
+    from polgeo import lqr
+
+    backtrack, steps = lqr.backtrack, []
+
+    def spy(accept, eta0):
+        steps.append(eta0)
+        return backtrack(accept, eta0)
+
+    monkeypatch.setattr(lqr, "backtrack", spy)
+    return steps
+
+
+def record_certified_searches(monkeypatch):
+    """Spy on lqr's certificate and line searches; returns (pairs, steps),
+    the (K, V) of every certificate asked for and the first step of every
+    line search, which under CertificateStep pair up one to one."""
+    from polgeo import lqr
+
+    steps, certificate, pairs = record_first_steps(monkeypatch), lqr.stability_certificate, []
+
+    def spy(plant, K, V):
+        pairs.append((K, V))
+        return certificate(plant, K, V)
+
+    monkeypatch.setattr(lqr, "stability_certificate", spy)
+    return pairs, steps
+
+
+def certificate_bound(plant, K, V, cap):
+    """min(cap, s_K(V)) with s_K(V) = 1 / (2 lambda_max(X) ||BV||_2) and
+    X = A_cl^T X A_cl + I, by a Kronecker solve and dense eigenvalues."""
+    Acl = plant.A + plant.B @ K.K
+    X = kron_lyap(Acl.T, np.eye(plant.n))
+    bnorm = np.linalg.norm(plant.B @ V, 2)
+    return min(cap, 1.0 / (2.0 * np.max(np.linalg.eigvalsh(X)) * bnorm))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

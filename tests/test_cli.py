@@ -350,6 +350,10 @@ def two_state_plant_dict():
     ("structured_gd", {"K0": [[0.0, 0.0]],
                        "constraint": {"kind": "output_feedback", "Cout": [[1.0]]}},
      "options.constraint.Cout"),
+    # 10**9 and 4000**2 grid cells, above the limit of 10**7
+    ("connectivity", {"resolution": 1000, "box": [[-1.0, 1.0]] * 3}, "options.resolution"),
+    ("landscape", {"resolution": 4000, "dir1": [[1.0, 0.0]], "dir2": [[0.0, 1.0]]},
+     "options.resolution"),
 ])
 def test_exit_2_malformed_option_names_field(tmp_path, task, options, path):
     raw = {"task": task, "plant": two_state_plant_dict(), "options": options}
@@ -359,6 +363,31 @@ def test_exit_2_malformed_option_names_field(tmp_path, task, options, path):
     error = read_summary(out)["error"]
     assert error["kind"] == "config"
     assert any(v.startswith(path + ":") for v in error["violations"])
+
+
+SADDLE_KD0 = {"A_K": [[-0.1753]], "B_K": [[0.0]], "C_K": [[0.0]]}
+
+
+@pytest.mark.parametrize("task, plant, options, stop", [
+    ("lqr_gd", scalar_plant_dict(), {"K0": [[-1.0]], "tol": 1e-6}, "tol"),
+    ("lqr_gd", scalar_plant_dict(), {"K0": [[-1.0]], "max_iter": 3}, "max_iter"),
+    ("lqr_gd", scalar_plant_dict(), {"K0": [[-1.0]], "tol": 0}, "round_off"),
+    ("structured_gd", two_state_plant_dict(),
+     {"K0": [[0.0, 0.0]], "constraint": {"kind": "sparsity", "mask": [[1.0, 0.0]]},
+      "tol": 0}, "round_off"),
+    ("lqg_gd", scalar_plant_dict(a=0.9), {"Kd0": SADDLE_KD0, "tol": 1e-9}, "tol"),
+    ("lqg_gd", scalar_plant_dict(a=0.9),
+     {"Kd0": {**SADDLE_KD0, "B_K": [[0.1]]}, "max_iter": 2}, "max_iter"),
+])
+def test_summary_reports_why_descent_stopped(tmp_path, task, plant, options, stop):
+    raw = {"task": task, "plant": plant, "options": options}
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["stop"] == stop
+    last = json.loads((out / "trace.jsonl").read_text().splitlines()[-1])
+    assert last["step"] == 0.0
+    assert (last["iter"] == summary["options_in_force"]["max_iter"]) == (stop == "max_iter")
 
 
 def test_summary_echoes_options_in_force(tmp_path):

@@ -27,7 +27,7 @@ from polgeo import (
     transform_tangent,
 )
 from polgeo import lqg
-from conftest import km_grad_by_basis, kron_lyap, record_iterates
+from conftest import km_grad_by_basis, kron_lyap, record_first_steps, record_iterates
 
 SADDLE_J = 5.263157894736842  # 1 / (1 - 0.81)
 
@@ -376,13 +376,25 @@ def test_lqg_gd_trace_rho_is_the_iterates(ab09_plant, monkeypatch, mode):
         spectral_radius(closed_loop_matrix_dynamic(ab09_plant, Kd)) for Kd in iterates]
 
 
+@pytest.mark.parametrize("mode", ["euclidean", "km_riemannian"])
+def test_lqg_gd_tries_alpha_first(ab09_plant, monkeypatch, mode):
+    # only certified static descent warm-starts its line searches
+    steps = record_first_steps(monkeypatch)
+    _, trace, _ = lqg_gd_run(ab09_plant, DynamicPolicy.create([[0.5]], [[0.3]], [[-0.2]]),
+                             mode=mode, alpha=2.0, tol=1e-8, max_iter=300)
+    assert len(steps) >= len(trace) - 1 > 0
+    assert set(steps) == {2.0}
+
+
 def test_lqg_gd_terminates_at_transformed_optimum(rng):
-    # run KM descent to a stationary point, transform, restart: immediate stop
+    # run KM descent to a stationary point, transform, restart: immediate stop.
+    # The run may stop at round-off short of its tol; the restart's tol of
+    # 1e-6 decides whether it is stationary
     plant = random_plant(rng)
     Kd0 = random_minimal_policy(rng, plant)
     Kd, trace, minimal = lqg_gd_run(plant, Kd0, mode="km_riemannian",
                                     tol=1e-7, max_iter=4000)
-    if trace[-1].grad_norm <= 1e-7:
+    if trace[-1].grad_norm <= 1e-6:
         T = np.array([[1.3, 0.2], [0.0, 0.8]])
         moved = similarity_transform(Kd, T)
         _, trace2, _ = lqg_gd_run(plant, moved, mode="km_riemannian",

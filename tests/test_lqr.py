@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,15 @@ from polgeo import (
     write_trace_jsonl,
 )
 from polgeo import lqr
-from conftest import fd_grad, random_certified_gain, random_stabilizable, record_iterates
+from conftest import (
+    certificate_bound,
+    fd_grad,
+    random_certified_gain,
+    random_stabilizable,
+    record_certified_searches,
+    record_first_steps,
+    record_iterates,
+)
 
 GOLDEN_K = -0.6180339887498949
 GOLDEN_P = 1.6180339887498949
@@ -259,6 +268,62 @@ def test_gd_monotone_and_certified(rng):
     js = [rec.J for rec in trace]
     assert all(js[i + 1] <= js[i] + 1e-12 for i in range(len(js) - 1))
     assert all(rec.rho < 1.0 for rec in trace)
+
+
+def test_gd_stops_at_round_off(rng):
+    # regression: this run used to wander for 1000+ of its 1217 iterations
+    # within 3e-14 of one J, stepping on round-off until the gradient norm
+    # happened to dip under tol; it now returns once no halving decreases J
+    plant = random_stabilizable(rng, 3, 2)
+    K0 = random_certified_gain(rng, plant)
+    Jstar = lqr_eval(plant, dare_solve(plant)[1]).J
+    # with tol = 0 the gradient norm never reaches tol: the run must return
+    for tol in (1e-8, 0.0):
+        K, trace = gd_run(plant, K0, direction="riemannian", tol=tol, max_iter=2000)
+        assert trace[-1].grad_norm > tol
+        assert trace[-1].iter < 200
+        assert trace[-1].step == 0.0
+        assert abs(trace[-1].J - Jstar) <= 1e-12 * Jstar
+        assert lqr_eval(plant, K).J == trace[-1].J
+
+
+def test_decrease_outcomes():
+    # a strict decrease is accepted at the first step that gives one; no
+    # strict decrease but one within round-off slack is ROUND_OFF; else None
+    def search(J):
+        return lqr.decrease(lambda eta: eta, lambda x: 0.5,
+                            lambda x: SimpleNamespace(J=J(x)), 1.0, 1.0)
+
+    eta, x, rho, ev = search(lambda x: 1.0 + 4.0 * x * (x - 0.3))
+    assert (eta, x, rho, ev.J) == (0.25, 0.25, 0.5, 0.95)
+    assert search(lambda x: 1.0 + 1e-15) is lqr.ROUND_OFF
+    assert search(lambda x: 1.0 + 1e-9) is None
+
+
+@pytest.mark.parametrize("direction", ["euclidean", "riemannian", "pseudo_newton"])
+def test_gd_first_step_within_certificate(rng, monkeypatch, direction):
+    # the warm-started first step of every line search stays within the
+    # certified bound min(cap, s_K(V)) at its iterate; it falls below the
+    # bound on some iterations, except along pseudo-Newton directions, whose
+    # slope shrinks faster than their certificate
+    plant = random_stabilizable(rng, 3, 2)
+    K0 = random_certified_gain(rng, plant)
+    pairs, steps = record_certified_searches(monkeypatch)
+    gd_run(plant, K0, direction=direction, tol=1e-10, max_iter=500)
+    bounds = [certificate_bound(plant, K, V, 1.0) for K, V in pairs]
+    assert len(steps) == len(bounds) > 1
+    assert all(eta <= b * (1 + 1e-9) for eta, b in zip(steps, bounds))
+    assert steps[0] == pytest.approx(bounds[0], rel=1e-9)
+    assert any(eta < 0.99 * b for eta, b in zip(steps, bounds)) == (direction != "pseudo_newton")
+
+
+def test_gd_fixed_step_tries_its_step_first(rng, monkeypatch):
+    plant = random_stabilizable(rng, 3, 2)
+    steps = record_first_steps(monkeypatch)
+    _, trace = gd_run(plant, random_certified_gain(rng, plant),
+                      step_rule=FixedStep(eta=0.3), tol=1e-8, max_iter=300)
+    assert len(steps) >= len(trace) - 1 > 0
+    assert set(steps) == {0.3}
 
 
 @pytest.mark.parametrize("direction", ["euclidean", "riemannian", "pseudo_newton"])

@@ -20,7 +20,13 @@ from polgeo import (
     tangential_project,
 )
 from polgeo import structured
-from conftest import random_certified_gain, random_stabilizable, record_iterates
+from conftest import (
+    certificate_bound,
+    random_certified_gain,
+    random_stabilizable,
+    record_certified_searches,
+    record_iterates,
+)
 
 
 @pytest.fixture
@@ -202,6 +208,20 @@ def test_structured_trace_rho_is_the_iterates(slqr_plant, monkeypatch, metric):
     assert any(rec.step < 2.0 for rec in trace[:-1])
     assert [rec.rho for rec in trace] == [
         spectral_radius(closed_loop_static(slqr_plant, K.K)) for K in iterates]
+
+
+@pytest.mark.parametrize("metric", [Frobenius(), LyapunovMetric()])
+def test_structured_first_step_within_certificate(slqr_plant, monkeypatch, metric):
+    # the warm-started first step of every line search stays within the
+    # certified bound min(cap, s_K(V)) at its iterate, and below it on some
+    sub = ConstraintSubspace.sparsity(np.eye(2, dtype=bool))
+    pairs, steps = record_certified_searches(monkeypatch)
+    structured_gd_run(slqr_plant, diag_gain(slqr_plant, -0.3, -0.3), sub,
+                      metric=metric, tol=1e-9, max_iter=2000)
+    bounds = [certificate_bound(slqr_plant, K, V, 1.0) for K, V in pairs]
+    assert len(steps) == len(bounds) > 1
+    assert all(eta <= b * (1 + 1e-9) for eta, b in zip(steps, bounds))
+    assert any(eta < 0.99 * b for eta, b in zip(steps, bounds))
 
 
 def test_structured_iterates_stay_masked(slqr_plant):

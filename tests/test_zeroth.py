@@ -19,6 +19,7 @@ from polgeo import (
     zo_grad_one_point,
     zo_grad_two_point,
 )
+from conftest import record_first_steps
 
 
 def quad(theta):
@@ -182,6 +183,15 @@ def test_zo_gd_quadratic_converges():
                              np.array([1.0, -2.0, 0.5, 0.3, -0.7]), cfg,
                              eta=0.2, tol=1e-4, max_iter=5000)
     assert np.linalg.norm(theta) <= 1e-2
+
+
+def test_zo_gd_tries_eta_first(monkeypatch):
+    steps = record_first_steps(monkeypatch)
+    cfg = ZoConfig(epsilon=1e-3, samples=20, seed=4)
+    _, trace = zo_gd_run(quad, lambda th: True, np.array([1.0, -2.0, 0.5]), cfg,
+                         eta=0.2, tol=1e-4, max_iter=50)
+    assert len(steps) >= len(trace) - 1 > 0
+    assert set(steps) == {0.2}
 
 
 def test_zo_gd_stationary_start_stays_put(scalar_plant):
