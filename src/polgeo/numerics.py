@@ -76,26 +76,37 @@ def spectral_radius(M):
     return float(np.max(np.abs(np.linalg.eigvals(M)), initial=0.0))
 
 
+def _frobenius(M):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(M) if M.ndim == 2 else np.linalg.norm(M, axis=(-2, -1))
+
+
 def _eigvalsh(S, name, dtype=float):
-    """Ascending eigenvalues of a square matrix that is symmetric (Hermitian
-    for complex dtype) within STRUCT_TOL, computed from its exact part."""
+    """Ascending eigenvalues of a square matrix, or of each matrix of a
+    (k, n, n) stack, that is symmetric (Hermitian for complex dtype) within
+    STRUCT_TOL, computed from its exact part. The test is made per matrix."""
     S = np.asarray(S, dtype=dtype)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"{name}: square matrix required, got {S.shape}")
-    SH = S.conj().T
-    if np.linalg.norm(S - SH) > STRUCT_TOL * (1.0 + np.linalg.norm(S)):
+    if S.ndim not in (2, 3) or S.shape[-1] != S.shape[-2]:
+        raise DimensionError(f"{name}: square matrix or stack required, got {S.shape}")
+    SH = S.swapaxes(-1, -2).conj()
+    if (_frobenius(S - SH) > STRUCT_TOL * (1.0 + _frobenius(S))).any():
         kind = "Hermitian" if dtype is complex else "symmetric"
         raise ContractError(f"{name}: input not {kind} within tolerance")
     return np.linalg.eigvalsh(0.5 * (S + SH))
 
 
+def _per_matrix(values):
+    """A float for one matrix, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def sym_lambda_max(S):
-    """Largest eigenvalue of a symmetric matrix."""
-    return float(_eigvalsh(S, "sym_lambda_max")[-1])
+    """Largest eigenvalue of a symmetric matrix (of each matrix of a stack)."""
+    return _per_matrix(_eigvalsh(S, "sym_lambda_max")[..., -1])
 
 
 def sym_lambda_min(S):
-    return float(_eigvalsh(S, "sym_lambda_min")[0])
+    return _per_matrix(_eigvalsh(S, "sym_lambda_min")[..., 0])
 
 
 def spectral_norm(M):
@@ -107,8 +118,9 @@ def spectral_norm(M):
 
 
 def hermitian_lambda_max(H):
-    """Largest (real) eigenvalue of a Hermitian matrix."""
-    return float(_eigvalsh(H, "hermitian_lambda_max", complex)[-1])
+    """Largest (real) eigenvalue of a Hermitian matrix: a float, or one value
+    per matrix of a (k, n, n) stack."""
+    return _per_matrix(_eigvalsh(H, "hermitian_lambda_max", complex)[..., -1])
 
 
 def matrix_rank(M, rtol=1e-8):

@@ -115,6 +115,44 @@ def min_norm_by_faces(gradients):
     return (best @ flat).reshape(gradients[0].shape), np.sqrt(max(best_val, 0.0))
 
 
+def peak_gain_reference(plant, K, omegas):
+    """lambda_max(R(w)^H (Q + K^T R K) R(w)) one frequency at a time, with
+    R(w) = (e^{jw} I - A_cl)^{-1} by np.linalg.solve and the top eigenvalue
+    by np.linalg.eigvalsh: the per-frequency loop the batched kernel replaces."""
+    Acl = plant.A + plant.B @ K
+    mid = plant.Q + K.T @ plant.R @ K
+    eye = np.eye(plant.n)
+    values = []
+    for w in omegas:
+        Rw = np.linalg.solve(np.exp(1j * w) * eye - Acl, eye)
+        values.append(np.linalg.eigvalsh(Rw.conj().T @ mid @ Rw)[-1])
+    return np.array(values)
+
+
+def golden_max_scalar(f, lo, hi, tol):
+    """Golden-section search for the maximum of a scalar f on [lo, hi], one
+    point at a time: the sequential search that the lockstep one must match."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = f(d)
+        x, fx = (c, fc) if fc >= fd else (d, fd)
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
 def random_stabilizable(rng, n, m, scale=0.5):
     """Random plant with the zero gain stabilizing (A scaled Schur stable)."""
     A = rng.standard_normal((n, n))

@@ -5,6 +5,8 @@ import pytest
 
 from polgeo import (
     ContractError,
+    InfeasibleError,
+    InternalInvariantError,
     Plant,
     StaticGain,
     closed_loop_static,
@@ -14,8 +16,15 @@ from polgeo import (
     is_stabilizing_static,
     spectral_radius,
 )
-from polgeo.hinf import _min_norm_convex_combination
-from conftest import min_norm_by_faces, random_certified_gain, random_stabilizable
+from polgeo import hinf
+from polgeo.hinf import FREQ_BLOCK, _golden_max, _min_norm_convex_combination
+from conftest import (
+    golden_max_scalar,
+    min_norm_by_faces,
+    peak_gain_reference,
+    random_certified_gain,
+    random_stabilizable,
+)
 
 
 def gain(plant, K):
@@ -56,6 +65,53 @@ def test_response_matches_closed_form(ab09_plant, rng):
         w = float(rng.uniform(0.0, math.pi))
         assert abs(hinf_freq_response(ab09_plant, K, w)
                    - scalar_response(0.9, -0.4, 1.0, 1.0, w)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 16])
+def test_batched_response_matches_per_frequency_reference(rng, n):
+    plant = random_stabilizable(rng, n, 2)
+    K = random_certified_gain(rng, plant)
+    # random frequencies, and a grid that leaves a partial last block
+    for omegas in (rng.uniform(0.0, 2.0 * math.pi, 50),
+                   np.linspace(0.0, math.pi, 2 * FREQ_BLOCK + 37)):
+        values = hinf_freq_response(plant, K, omegas)
+        ref = peak_gain_reference(plant, K.K, omegas)
+        assert values.shape == omegas.shape
+        assert np.all(np.abs(values - ref) <= 1e-12 * np.abs(ref))
+    w = float(omegas[FREQ_BLOCK + 5])
+    assert hinf_freq_response(plant, K, w) == values[FREQ_BLOCK + 5]
+
+
+def test_response_guards(rng):
+    plant = random_stabilizable(rng, 3, 2)
+    K = random_certified_gain(rng, plant)
+    for omega in (0.3, np.linspace(0.0, math.pi, 5)):
+        with pytest.raises(InfeasibleError):
+            hinf_freq_response(plant, StaticGain(K.K, False), omega)
+    # a pole on the unit circle at w = 0: the shifted matrix is singular
+    unit = Plant.create(A=np.array([[1.0]]), B=np.array([[1.0]]))
+    with pytest.raises(InternalInvariantError):
+        hinf_freq_response(unit, StaticGain(np.array([[0.0]]), True), np.array([0.5, 0.0]))
+    with pytest.raises(InternalInvariantError):
+        hinf_freq_response(plant, StaticGain(np.full(K.K.shape, np.nan), True), 0.3)
+
+
+def test_lockstep_golden_matches_sequential_searches(rng):
+    # three intervals, the first and last clipped at 0 and pi as hinf_cost
+    # clips them
+    step = math.pi / 255
+    intervals = [(0.0, step), (1.3 - step, 1.3 + step), (math.pi - step, math.pi)]
+
+    def wavy(x):
+        return np.sin(3.0 * x) + 0.3 * np.cos(17.0 * x)
+
+    plant = random_stabilizable(rng, 4, 2)
+    K = random_certified_gain(rng, plant)
+    for f in (wavy, lambda x: hinf_freq_response(plant, K, x)):
+        lockstep = _golden_max(f, intervals, 1e-10)
+        sequential = [golden_max_scalar(lambda x: float(f(np.array([x]))[0]), lo, hi, 1e-10)
+                      for lo, hi in intervals]
+        assert lockstep == sequential
 
 
 def test_cost_scalar_analytic_values(ab09_plant):
@@ -112,6 +168,24 @@ def test_descent_reaches_raster_minimum(ab09_plant):
     assert abs(K.K[0, 0] - best_k) < 0.05
     # the minimizer sits at the non-smooth kink where A_cl = 0
     assert abs(K.K[0, 0] + 0.9) < 1e-4
+
+
+def test_descent_evaluates_and_eigensolves_each_iterate_once(ab09_plant, monkeypatch):
+    # every cost and radius hinf_descent_run asks for is of a distinct gain:
+    # the accepted candidate's J and rho carry over to the next iterate
+    radius, gains = hinf.stabilizing_radius, []
+
+    def spy(Acl):
+        gains.append(Acl.tobytes())
+        return radius(Acl)
+
+    monkeypatch.setattr(hinf, "stabilizing_radius", spy)
+    K, trace = hinf_descent_run(ab09_plant, gain(ab09_plant, [[-0.5]]), grid=128, max_iter=5)
+    assert len(gains) == len(set(gains))
+    assert trace[0].rho == spectral_radius(closed_loop_static(ab09_plant, np.array([[-0.5]])))
+    assert trace[-1].rho == spectral_radius(closed_loop_static(ab09_plant, K.K))
+    with pytest.raises(InfeasibleError):
+        hinf_descent_run(ab09_plant, StaticGain(np.array([[0.5]]), True), grid=128)
 
 
 def test_descent_immediate_at_minimizer(ab09_plant):

@@ -156,8 +156,22 @@ def test_hermitian_lambda_max_rank_one(rng):
 
 
 def test_hermitian_lambda_max_rejects_nonhermitian():
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ContractError):
-        hermitian_lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        hermitian_lambda_max(bad)
+    # in a stack, each matrix is tested: one bad matrix among Hermitian ones
+    with pytest.raises(ContractError):
+        hermitian_lambda_max(np.stack([np.eye(2, dtype=complex), 1e3 * np.eye(2), bad]))
+    with pytest.raises(DimensionError):
+        hermitian_lambda_max(np.zeros((2, 2, 2, 2), dtype=complex))
+
+
+def test_hermitian_lambda_max_stack_is_per_matrix(rng):
+    X = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+    H = X @ np.swapaxes(X, 1, 2).conj()
+    values = hermitian_lambda_max(H)
+    assert values.shape == (7,)
+    assert list(values) == [hermitian_lambda_max(h) for h in H]
 
 
 def test_import_loads_no_scipy():
