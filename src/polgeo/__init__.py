@@ -17,7 +17,7 @@ from .errors import (
     SingularMatrixError,
     StalledError,
 )
-from .lyapunov import dlyap, dlyap_diff, lyap_trace_check
+from .lyapunov import dlyap, dlyap_diff
 from .numerics import (
     hermitian_lambda_max,
     matrix_rank,
@@ -40,6 +40,7 @@ from .policy_core import (
     is_stabilizing_dynamic,
     is_stabilizing_static,
     landscape_slice,
+    lyapunov_step_bound,
     stability_certificate,
     write_grid_csv,
 )

@@ -237,7 +237,7 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
         evaluate=lambda Kd: lqg_eval(plant, Kd),
         membership=lambda Kd: stabilizing_radius(closed_loop_matrix_dynamic(plant, Kd)),
         direction=direction,
-        initial_step=lambda Kd, V: alpha,
+        initial_step=lambda Kd, V, ev: alpha,
         move=_policy_add,
         accept=decrease,
         tol=tol, max_iter=max_iter)

@@ -13,7 +13,13 @@ import numpy as np
 from .errors import InfeasibleError, InternalInvariantError, StalledError
 from .lyapunov import dlyap, dlyap_diff
 from .numerics import solve_linear, spectral_norm
-from .policy_core import StaticGain, closed_loop_static, stability_certificate, stabilizing_radius
+from .policy_core import (
+    StaticGain,
+    closed_loop_static,
+    lyapunov_step_bound,
+    stability_certificate,
+    stabilizing_radius,
+)
 
 MAX_BACKTRACKS = 30
 
@@ -193,6 +199,9 @@ class FixedStep:
 
 @dataclass(frozen=True)
 class CertificateStep:
+    """First step min(cap, s), with s the certified bound of certified_step:
+    K + eta V stays stabilizing for every 0 <= eta <= s."""
+
     cap: float = 1.0
 
 
@@ -210,9 +219,31 @@ def _descent_direction(plant, K, ev, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def initial_eta(plant, K, V, step_rule):
+def certified_step(plant, K, V, ev=None):
+    """A step bound s with K + eta V stabilizing for every 0 <= eta <= s.
+
+    Given K's evaluation ev, no Lyapunov equation is solved: both Lyapunov
+    functions of the closed loop that ev holds bound the step, and the
+    larger bound is returned. P_K certifies A_cl + eta BV with
+    N = Q + K^T R K, when N is positive definite (Q singular can make it
+    singular or nearly so); Y_K certifies its transpose with N = Sigma,
+    always positive definite. Without ev, the certificate s_K(V)."""
+    if ev is None:
+        return stability_certificate(plant, K, V)
+    s = lyapunov_step_bound(ev.A_cl.T, V.T, plant.B.T, ev.Y_K, plant.Sigma)
+    try:
+        return max(s, lyapunov_step_bound(ev.A_cl, plant.B, V, ev.P_K,
+                                          plant.Q + K.K.T @ plant.R @ K.K))
+    except np.linalg.LinAlgError:
+        return s
+
+
+def initial_eta(plant, K, V, step_rule, ev=None):
+    """The first step a line search tries: min(cap, certified_step) under
+    CertificateStep (cap when the bound is +inf, V = 0), the fixed step
+    otherwise, 1e-3 / ||R||_2 for FixedStep(None)."""
     if isinstance(step_rule, CertificateStep):
-        eta = min(step_rule.cap, stability_certificate(plant, K, V))
+        eta = min(step_rule.cap, certified_step(plant, K, V, ev))
         return eta if np.isfinite(eta) else step_rule.cap
     eta = step_rule.eta
     if eta is None:
@@ -227,12 +258,12 @@ def descend(name, x0, evaluate, membership, direction, initial_step, move,
     membership(x) is the spectral radius of x's closed loop when x passes
     the membership test, else None; evaluate(x) returns an evaluation with
     attribute J and raises InfeasibleError off the feasible set;
-    direction(x, ev, it) returns (V, grad_norm); initial_step(x, V) bounds
-    the first step tried; move(x, V, eta) is the candidate at step eta;
+    direction(x, ev, it) returns (V, grad_norm); initial_step(x, V, ev)
+    bounds the first step tried; move(x, V, eta) is the candidate at step eta;
     accept(candidate, membership, evaluate, J, eta0) is the line search
     (decrease or feasible_only). With slope(x, ev, V) = <grad J(x), V>, the
     first step is warm-started: after the first iteration it is
-    min(initial_step(x, V), eta_prev <grad J_prev, V_prev> / <grad J, V>),
+    min(initial_step(x, V, ev), eta_prev <grad J_prev, V_prev> / <grad J, V>),
     the step whose first-order decrease repeats the last accepted step's
     (Nocedal & Wright, Numerical Optimization, eq. 3.59), so it never
     exceeds initial_step. The accepted candidate's evaluation and spectral
@@ -255,7 +286,7 @@ def descend(name, x0, evaluate, membership, direction, initial_step, move,
         V, gnorm = direction(x, ev, it)
         stop = gnorm <= tol or it == max_iter
         if not stop:
-            eta0 = initial_step(x, V)
+            eta0 = initial_step(x, V, ev)
             d = None if slope is None else slope(x, ev, V)
             if last is not None and d < 0.0:
                 eta0 = min(eta0, last / d)
@@ -289,7 +320,7 @@ def static_descent(name, plant, K0, direction, step_rule, tol, max_iter):
         evaluate=lambda K: lqr_eval(plant, K),
         membership=lambda K: stabilizing_radius(closed_loop_static(plant, K.K)),
         direction=direction,
-        initial_step=lambda K, V: initial_eta(plant, K, V, step_rule),
+        initial_step=lambda K, V, ev: initial_eta(plant, K, V, step_rule, ev),
         move=lambda K, V, eta: StaticGain(K.K + eta * V, True),
         accept=decrease,
         tol=tol, max_iter=max_iter,
@@ -301,8 +332,9 @@ def gd_run(plant, K0, direction="euclidean", step_rule=CertificateStep(),
     """Certified descent driver.
 
     Every iterate is certified stabilizing. The first step tried is
-    min(cap, s_K(V)) under CertificateStep, warm-started after the first
-    iteration to min(cap, s_K(V), eta_prev <grad J_prev, V_prev> / <grad J, V>)
+    min(cap, s) under CertificateStep, s the bound of certified_step from
+    the iterate's own evaluation (no Lyapunov solve), warm-started after the
+    first iteration to min(cap, s, eta_prev <grad J_prev, V_prev> / <grad J, V>)
     (see descend), or the fixed step; it is halved (up to 30 times) until
     the candidate both stays stabilizing and strictly decreases J.
     Terminates when the gradient norm falls below tol, at max_iter, or at

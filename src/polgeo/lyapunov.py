@@ -1,4 +1,4 @@
-"""Discrete Lyapunov operator L(A, Q), its differential, and the trace identity.
+"""Discrete Lyapunov operator L(A, Q) and its differential.
 
 L(A, Q) is the unique P solving P = A P A^T + Q when rho(A) < 1, solved
 by Smith doubling. Stability is decided by the membership tests in
@@ -82,10 +82,3 @@ def dlyap_diff(A, Q, E, F):
     rhs = E @ P @ A.T + A @ P @ E.T + F
     return dlyap(A, rhs).P
 
-
-def lyap_trace_check(A, Q, Sigma):
-    """Normalized residual of the trace identity tr(L(A^T,Q) Sigma) = tr(L(A,Sigma) Q)."""
-    sol = dlyap(A, Sigma, Q)
-    lhs = float(np.trace(sol.Pt @ Sigma))
-    rhs = float(np.trace(sol.P @ Q))
-    return abs(lhs - rhs) / (1.0 + abs(rhs))

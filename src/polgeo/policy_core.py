@@ -1,6 +1,7 @@
 """Domain types for plants, policies, constraints and metrics, plus the
-stability membership tests, the closed-form stability certificate, and the
-grid scanners (connectivity / landscape slices)."""
+stability membership tests, the step bounds (the closed-form stability
+certificate and the bound from a Lyapunov function already at hand), and
+the grid scanners (connectivity / landscape slices)."""
 
 import csv
 import math
@@ -250,6 +251,38 @@ def stability_certificate(plant, K, V):
     Acl = closed_loop_static(plant, K.K)
     lam = sym_lambda_max(dlyap(Acl.T, np.eye(plant.n)).P)
     return 1.0 / (2.0 * lam * bnorm)
+
+
+def lyapunov_step_bound(Acl, B, V, P, N):
+    """Safe step bound along Delta = B V from a Lyapunov function at hand.
+
+    Given P = Acl^T P Acl + N with P > 0 and N = L L^T > 0, let x and z be
+    the largest eigenvalues of L^-1 (Acl^T P Delta + Delta^T P Acl) L^-T and
+    of L^-1 Delta^T P Delta L^-T. Returns s = 1 / (x + sqrt(x^2 + 2z)), the
+    positive root of x eta + z eta^2 = 1/2, or +inf for Delta = 0. For
+    0 <= eta <= s, (Acl + eta Delta)^T P (Acl + eta Delta) - P <= -N/2 < 0,
+    so Acl + eta Delta is Schur stable, the endpoint included. Raises
+    np.linalg.LinAlgError when N is not positive definite (Cholesky fails).
+
+    B is n x k and V is k x n, so both matrices have rank at most 2k. With
+    [F, U] = L^-1 [Acl^T P B, V^T] = Q_Z [R_1, R_2] (a thin QR), they are
+    Q_Z (R_1 R_2^T + R_2 R_1^T) Q_Z^T and Q_Z R_2 (B^T P B) R_2^T Q_Z^T:
+    x and z are eigenvalues of matrices of order min(n, 2k), and x is at
+    least 0 when 2k < n (the rest of the spectrum is 0).
+    """
+    n, k = B.shape
+    Z = np.linalg.solve(np.linalg.cholesky(N), np.hstack([Acl.T @ (P @ B), V.T]))
+    R = np.linalg.qr(Z, mode="r")
+    R1, R2 = R[:, :k], R[:, k:]
+    C = R1 @ R2.T
+    x, z = map(float, sym_lambda_max(np.stack([C + C.T, R2 @ (B.T @ P @ B) @ R2.T])))
+    if R.shape[0] < n:
+        x = max(x, 0.0)
+    root = math.sqrt(x * x + 2.0 * z)
+    # the two forms of the root, each free of cancellation on its side of 0
+    if x > 0.0:
+        return 1.0 / (x + root)
+    return (root - x) / (2.0 * z) if z > 0.0 else math.inf
 
 
 def connectivity_scan(membership, box, resolution):

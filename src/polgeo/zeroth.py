@@ -139,7 +139,7 @@ def zo_gd_run(costfn, feasibility, theta0, cfg, eta=0.1, tol=1e-8,
         evaluate=lambda th: _Query(float(costfn(th))),
         membership=lambda th: float(rho_fn(th)) if feasibility(th) else None,
         direction=direction,
-        initial_step=lambda th, V: eta,
+        initial_step=lambda th, V, query: eta,
         move=lambda th, V, step: th + step * V,
         accept=feasible_only,
         tol=tol, max_iter=max_iter)

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from polgeo import Plant, StaticGain, is_stabilizing_static, km_inner, lqg_grad
+from polgeo import Plant, StaticGain, dlyap, is_stabilizing_static, km_inner, lqg_grad
 
 
 def char_poly_det(S, lam):
@@ -57,6 +57,15 @@ def kron_lyap(A, Q):
     M = np.eye(n * n) - np.kron(A, A)
     vecP = np.linalg.solve(M, Q.reshape(-1))
     return vecP.reshape(n, n)
+
+
+def lyap_trace_check(A, Q, Sigma):
+    """Normalized residual of the trace identity tr(L(A^T,Q) Sigma) = tr(L(A,Sigma) Q),
+    both sides from one paired dlyap solve."""
+    sol = dlyap(A, Sigma, Q)
+    lhs = float(np.trace(sol.Pt @ Sigma))
+    rhs = float(np.trace(sol.P @ Q))
+    return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
 def fd_grad(f, X, h=1e-6):
@@ -224,28 +233,73 @@ def record_first_steps(monkeypatch):
 
 
 def record_certified_searches(monkeypatch):
-    """Spy on lqr's certificate and line searches; returns (pairs, steps),
-    the (K, V) of every certificate asked for and the first step of every
+    """Spy on lqr's certified step bound and line searches; returns (pairs,
+    steps), the (K, V) of every bound asked for and the first step of every
     line search, which under CertificateStep pair up one to one."""
     from polgeo import lqr
 
-    steps, certificate, pairs = record_first_steps(monkeypatch), lqr.stability_certificate, []
+    steps, bound, pairs = record_first_steps(monkeypatch), lqr.certified_step, []
 
-    def spy(plant, K, V):
+    def spy(plant, K, V, ev=None):
         pairs.append((K, V))
-        return certificate(plant, K, V)
+        return bound(plant, K, V, ev)
 
-    monkeypatch.setattr(lqr, "stability_certificate", spy)
+    monkeypatch.setattr(lqr, "certified_step", spy)
     return pairs, steps
 
 
+def lyapunov_bound_reference(Acl, Delta, P, N):
+    """1 / (x + sqrt(x^2 + 2z)), x and z the largest eigenvalues of
+    N^-1/2 (Acl^T P Delta + Delta^T P Acl) N^-1/2 and of
+    N^-1/2 Delta^T P Delta N^-1/2, with N^-1/2 from a dense
+    eigendecomposition."""
+    w, U = np.linalg.eigh(N)
+    root_inv = (U / np.sqrt(w)) @ U.T
+    S = Acl.T @ P @ Delta
+    x = np.linalg.eigvalsh(root_inv @ (S + S.T) @ root_inv)[-1]
+    z = np.linalg.eigvalsh(root_inv @ Delta.T @ P @ Delta @ root_inv)[-1]
+    return 1.0 / (x + np.sqrt(x * x + 2.0 * z))
+
+
 def certificate_bound(plant, K, V, cap):
-    """min(cap, s_K(V)) with s_K(V) = 1 / (2 lambda_max(X) ||BV||_2) and
-    X = A_cl^T X A_cl + I, by a Kronecker solve and dense eigenvalues."""
-    Acl = plant.A + plant.B @ K.K
-    X = kron_lyap(Acl.T, np.eye(plant.n))
-    bnorm = np.linalg.norm(plant.B @ V, 2)
-    return min(cap, 1.0 / (2.0 * np.max(np.linalg.eigvalsh(X)) * bnorm))
+    """min(cap, s): s is the larger of the bounds from the two Lyapunov
+    functions of A_cl, P = A_cl^T P A_cl + Q + K^T R K (for A_cl + eta BV)
+    and Y = A_cl Y A_cl^T + Sigma (for its transpose), each by a Kronecker
+    solve and dense eigenvalues."""
+    Acl, Delta = plant.A + plant.B @ K.K, plant.B @ V
+    N = plant.Q + K.K.T @ plant.R @ K.K
+    s_P = lyapunov_bound_reference(Acl, Delta, kron_lyap(Acl.T, N), N)
+    s_Y = lyapunov_bound_reference(Acl.T, Delta.T, kron_lyap(Acl, plant.Sigma), plant.Sigma)
+    return min(cap, max(s_P, s_Y))
+
+
+def structured_optimum_reference(plant, mask, K0):
+    """Stationary point of J over gains supported on mask, by Newton's method
+    on the free entries from K0: the gradient (R K + B^T P A_cl) Y with P and
+    Y from Kronecker solves, the Hessian by central differences of it. The
+    difference Hessian only slows the iteration; its fixed point is where
+    that gradient vanishes."""
+    idx = np.flatnonzero(mask)
+
+    def grad(k):
+        K = np.zeros(mask.shape)
+        K.flat[idx] = k
+        Acl = plant.A + plant.B @ K
+        P = kron_lyap(Acl.T, plant.Q + K.T @ plant.R @ K)
+        Y = kron_lyap(Acl, plant.Sigma)
+        return ((plant.R @ K + plant.B.T @ P @ Acl) @ Y).flat[idx]
+
+    k, h = np.asarray(K0, dtype=float).flat[idx], 1e-6
+    for _ in range(50):
+        H = np.array([(grad(k + h * e) - grad(k - h * e)) / (2.0 * h)
+                      for e in np.eye(len(k))]).T
+        step = np.linalg.solve(0.5 * (H + H.T), grad(k))
+        k = k - step
+        if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(k)):
+            break
+    K = np.zeros(mask.shape)
+    K.flat[idx] = k
+    return K
 
 
 @pytest.fixture

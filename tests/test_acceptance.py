@@ -36,7 +36,6 @@ from polgeo import (
     lqr_grad_riemannian,
     lqr_hvp_euclidean,
     lqr_hvp_pseudo,
-    lyap_trace_check,
     saddle_policy,
     similarity_transform,
     spectral_radius,
@@ -50,7 +49,7 @@ from polgeo import (
 from polgeo import cli
 from polgeo.policy_core import ConstraintSubspace, Frobenius
 from polgeo.lqg import km_grad
-from conftest import kron_lyap, random_certified_gain, random_stabilizable
+from conftest import kron_lyap, lyap_trace_check, random_certified_gain, random_stabilizable
 
 
 @contextmanager

@@ -303,7 +303,7 @@ def test_decrease_outcomes():
 @pytest.mark.parametrize("direction", ["euclidean", "riemannian", "pseudo_newton"])
 def test_gd_first_step_within_certificate(rng, monkeypatch, direction):
     # the warm-started first step of every line search stays within the
-    # certified bound min(cap, s_K(V)) at its iterate; it falls below the
+    # certified bound min(cap, s) of its evaluation; it falls below the
     # bound on some iterations, except along pseudo-Newton directions, whose
     # slope shrinks faster than their certificate
     plant = random_stabilizable(rng, 3, 2)
@@ -315,6 +315,37 @@ def test_gd_first_step_within_certificate(rng, monkeypatch, direction):
     assert all(eta <= b * (1 + 1e-9) for eta, b in zip(steps, bounds))
     assert steps[0] == pytest.approx(bounds[0], rel=1e-9)
     assert any(eta < 0.99 * b for eta, b in zip(steps, bounds)) == (direction != "pseudo_newton")
+
+
+@pytest.mark.parametrize("direction", ["riemannian", "pseudo_newton"])
+def test_gd_zero_Q_steps_by_the_Y_bound(monkeypatch, direction):
+    # with Q = 0 and m < n, Q + K^T R K is singular: its Cholesky
+    # factorization fails (or leaves a bound below Y_K's), so the bound from
+    # Y_K with N = Sigma sets every certified step, and descent still
+    # reaches the Riccati optimum
+    A = np.array([[1.1, 1.0, 0.0], [0.0, 0.9, 1.0], [0.0, 0.0, 0.5]])
+    B = np.array([[0.0], [0.0], [1.0]])
+    plant = Plant.create(A=A, B=B, Q=np.zeros((3, 3)))
+    _, K0 = dare_solve(Plant.create(A=A, B=B))
+    bound, calls = lqr.lyapunov_step_bound, []
+
+    def spy(Acl, Bf, V, P, N):
+        # (is this Y_K's bound, the bound or None when Cholesky fails)
+        calls.append((N is plant.Sigma, None))
+        s = bound(Acl, Bf, V, P, N)
+        calls[-1] = (N is plant.Sigma, s)
+        return s
+
+    monkeypatch.setattr(lqr, "lyapunov_step_bound", spy)
+    _, trace = gd_run(plant, K0, direction=direction, tol=1e-8, max_iter=1000)
+    Jstar = lqr_eval(plant, dare_solve(plant)[1]).J
+    assert trace[-1].iter < 1000
+    assert abs(trace[-1].J - Jstar) <= 1e-12 * Jstar
+    s_Y = [s for is_Y, s in calls if is_Y]
+    s_P = [s for is_Y, s in calls if not is_Y]
+    assert len(s_Y) == len(s_P) >= len(trace) - 1
+    assert s_P.count(None) > len(s_P) // 2
+    assert all(p is None or p <= y for p, y in zip(s_P, s_Y))
 
 
 def test_gd_fixed_step_tries_its_step_first(rng, monkeypatch):

@@ -6,9 +6,8 @@ from polgeo import (
     NotSchurStableError,
     dlyap,
     dlyap_diff,
-    lyap_trace_check,
 )
-from conftest import kron_lyap
+from conftest import kron_lyap, lyap_trace_check
 
 
 def stable_matrix(rng, n, scale=0.6):

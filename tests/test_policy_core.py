@@ -17,11 +17,19 @@ from polgeo import (
     is_stabilizing_dynamic,
     is_stabilizing_static,
     landscape_slice,
+    lqr_eval,
+    lyapunov_step_bound,
     spectral_radius,
     stability_certificate,
     write_grid_csv,
 )
-from conftest import random_certified_gain, random_stabilizable, trajectory_decays
+from conftest import (
+    kron_lyap,
+    lyapunov_bound_reference,
+    random_certified_gain,
+    random_stabilizable,
+    trajectory_decays,
+)
 
 
 def test_plant_defaults_and_dims():
@@ -144,6 +152,68 @@ def test_certificate_monte_carlo_safety(rng):
             continue
         eta = s * float(rng.uniform(0.0, 1.0))
         assert spectral_radius(closed_loop_static(plant, K.K + eta * V)) < 1.0
+
+
+def test_lyapunov_step_bound_scalar_closed_form():
+    # a = 0.5, P = 4/3 for N = 1; along Delta = -1, x = -4/3 and z = 4/3,
+    # so s is the positive root of -(4/3) eta + (4/3) eta^2 = 1/2
+    P = np.array([[4.0 / 3.0]])
+    s = lyapunov_step_bound(np.array([[0.5]]), np.array([[1.0]]), np.array([[-1.0]]),
+                            P, np.eye(1))
+    assert abs(s - (4.0 / 3.0 + math.sqrt(16.0 / 9.0 + 8.0 / 3.0)) / (8.0 / 3.0)) < 1e-12
+    assert abs(0.5 - s) < 1.0  # the endpoint is stable
+
+
+def test_lyapunov_step_bound_zero_direction_and_singular_N(rng):
+    Acl = np.array([[0.5, 0.1], [0.0, 0.3]])
+    N = np.eye(2)
+    P = kron_lyap(Acl.T, N)
+    assert lyapunov_step_bound(Acl, np.ones((2, 1)), np.zeros((1, 2)), P, N) == math.inf
+    for singular in (np.zeros((2, 2)), np.diag([1.0, 0.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            lyapunov_step_bound(Acl, np.ones((2, 1)), np.ones((1, 2)), P, singular)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (8, 3)])
+def test_lyapunov_step_bound_matches_dense_reference(rng, n, k):
+    # the eigenvalues of order min(n, 2k) give the bound computed from the
+    # dense n x n matrices, whether 2k < n or not, and whatever x's sign
+    for _ in range(20):
+        Acl = rng.standard_normal((n, n))
+        Acl *= float(rng.uniform(0.1, 0.95)) / spectral_radius(Acl)
+        M = rng.standard_normal((n, n))
+        N = M @ M.T + 1e-2 * np.eye(n)
+        P = kron_lyap(Acl.T, N)
+        B, V = rng.standard_normal((n, k)), rng.standard_normal((k, n))
+        expected = lyapunov_bound_reference(Acl, B @ V, P, N)
+        assert abs(lyapunov_step_bound(Acl, B, V, P, N) - expected) <= 1e-9 * expected
+
+
+def test_lyapunov_step_bound_safety():
+    # modelled on criterion 5: every step up to and including the bound from
+    # either Lyapunov function of an evaluation, P_K with Q + K^T R K (Q's
+    # eigenvalues in [1e-3, 2]) or Y_K with Sigma on the transposed loop,
+    # keeps the gain stabilizing
+    rng = np.random.default_rng(16)
+    steps = violations = 0
+    for _ in range(10_000):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 4))
+        base = random_stabilizable(rng, n, m)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Q = (U * rng.uniform(1e-3, 2.0, n)) @ U.T
+        plant = Plant.create(A=base.A, B=base.B, Q=0.5 * (Q + Q.T), R=base.R)
+        K = random_certified_gain(rng, plant)
+        V = rng.standard_normal((m, n)) * float(rng.uniform(0.1, 3.0))
+        ev = lqr_eval(plant, K)
+        for s in (lyapunov_step_bound(ev.A_cl, plant.B, V, ev.P_K,
+                                      plant.Q + K.K.T @ plant.R @ K.K),
+                  lyapunov_step_bound(ev.A_cl.T, V.T, plant.B.T, ev.Y_K, plant.Sigma)):
+            for eta in (s * float(rng.uniform(1e-6, 1.0)), s):
+                steps += 1
+                violations += not is_stabilizing_static(plant, K.K + eta * V)
+    assert steps == 40_000
+    assert violations == 0
 
 
 def test_connectivity_static_interval():

@@ -26,6 +26,7 @@ from conftest import (
     random_stabilizable,
     record_certified_searches,
     record_iterates,
+    structured_optimum_reference,
 )
 
 
@@ -213,7 +214,7 @@ def test_structured_trace_rho_is_the_iterates(slqr_plant, monkeypatch, metric):
 @pytest.mark.parametrize("metric", [Frobenius(), LyapunovMetric()])
 def test_structured_first_step_within_certificate(slqr_plant, monkeypatch, metric):
     # the warm-started first step of every line search stays within the
-    # certified bound min(cap, s_K(V)) at its iterate, and below it on some
+    # certified bound min(cap, s) of its evaluation, and below it on some
     sub = ConstraintSubspace.sparsity(np.eye(2, dtype=bool))
     pairs, steps = record_certified_searches(monkeypatch)
     structured_gd_run(slqr_plant, diag_gain(slqr_plant, -0.3, -0.3), sub,
@@ -233,8 +234,17 @@ def test_structured_iterates_stay_masked(slqr_plant):
 
 
 def test_structured_stationary_point_grad_zero(slqr_plant):
-    sub = ConstraintSubspace.sparsity(np.eye(2, dtype=bool))
+    # the run stops on its gradient norm or at round-off (near 1e-7 here,
+    # where J's decrement falls below its round-off), in either case next to
+    # the stationary point Newton's method finds on the diagonal
+    mask = np.eye(2, dtype=bool)
+    sub = ConstraintSubspace.sparsity(mask)
     K0 = diag_gain(slqr_plant, -0.5, -0.5)
     K, trace = structured_gd_run(slqr_plant, K0, sub, tol=1e-7, max_iter=5000)
+    assert trace[-1].iter < 5000 and trace[-1].step == 0.0
     g = structured_grad(slqr_plant, K, sub, Frobenius())
-    assert np.linalg.norm(g) <= 1e-7
+    if trace[-1].grad_norm <= 1e-7:
+        assert np.linalg.norm(g) <= 1e-7
+    K_star = structured_optimum_reference(slqr_plant, mask, K0.K)
+    assert np.linalg.norm(structured_grad(slqr_plant, StaticGain(K_star, True), sub)) <= 1e-13
+    assert np.linalg.norm(K.K - K_star) <= 2e-8
