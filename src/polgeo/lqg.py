@@ -7,7 +7,8 @@ Conventions: the closed loop is
     [x; xi]+ = [[A, B C_K], [B_K C, A_K]] [x; xi] + diag(I, B_K) [w; v]
     [y; u]   = diag(C, C_K) [x; xi] + [v; 0]
 X = L(A_cl, diag(W, B_K V B_K^T)) and Y = L(A_cl^T, diag(Q, C_K^T R C_K));
-J = tr(diag(Q, C_K^T R C_K) X) = tr(diag(W, B_K V B_K^T) Y).
+J = tr(diag(Q, C_K^T R C_K) X) = tr(diag(W, B_K V B_K^T) Y). A step along a
+tangent (dA, dB, dC) moves A_cl by E(V) = diag(B, I_q) [[0, dC], [dB C, dA]].
 
 The evaluations here do not decide stability: callers gate on the
 membership test in policy_core, and for a closed loop that is not Schur
@@ -27,15 +28,25 @@ from .errors import (
 )
 from .lqr import decrease, descend
 from .lyapunov import dlyap
-from .numerics import matrix_rank, solve_linear, sym_lambda_min
-from .policy_core import DynamicPolicy, closed_loop_matrix_dynamic, stabilizing_radius
+from .numerics import matrix_rank, solve_linear, spectral_norm, sym_lambda_max, sym_lambda_min
+from .policy_core import (
+    DynamicPolicy,
+    closed_loop_matrix_dynamic,
+    lyapunov_step_bound,
+    stabilizing_radius,
+)
 
 
 @dataclass(frozen=True)
 class LqgEval:
+    """The cost, both Gramian-type solutions X and Y, and Z = L(A_cl^T, I)
+    with its closed loop A_cl, which bound the step (certified_step)."""
+
     J: float
     X: np.ndarray
     Y: np.ndarray
+    Z: np.ndarray
+    A_cl: np.ndarray
 
 
 def _blockdiag(M1, M2):
@@ -48,16 +59,24 @@ def _blockdiag(M1, M2):
 
 
 def lqg_eval(plant, Kd):
-    """LQG cost via both Lyapunov solves, cross-checked."""
+    """LQG cost via both Lyapunov solves, cross-checked. Z = L(A_cl^T, I)
+    is a third right-hand side of the same doubling."""
+    Acl = closed_loop_matrix_dynamic(plant, Kd)
+    n, k = plant.n, len(Acl)
     noise = _blockdiag(plant.W, Kd.B_K @ plant.V @ Kd.B_K.T)
-    weight = _blockdiag(plant.Q, Kd.C_K.T @ plant.R @ Kd.C_K)
-    sol = dlyap(closed_loop_matrix_dynamic(plant, Kd), noise, weight)
-    X, Y = sol.P, sol.Pt
+    # the right-hand sides of Y and Z, built in place
+    rhs = np.zeros((2, k, k))
+    rhs[0, :n, :n] = plant.Q
+    rhs[0, n:, n:] = Kd.C_K.T @ plant.R @ Kd.C_K
+    rhs[1].flat[::k + 1] = 1.0
+    weight = rhs[0]
+    sol = dlyap(Acl, noise, rhs)
+    X, (Y, Z) = sol.P, sol.Pt
     J = float(np.trace(weight @ X))
     J_dual = float(np.trace(noise @ Y))
     if abs(J - J_dual) > 1e-9 * (1.0 + abs(J)):
         raise InternalInvariantError("lqg_eval: dual cost expressions disagree")
-    return LqgEval(J=J, X=X, Y=Y)
+    return LqgEval(J=J, X=X, Y=Y, Z=Z, A_cl=Acl)
 
 
 def lqg_grad(plant, Kd, ev=None):
@@ -144,6 +163,37 @@ def _embed_E(plant, V):
     return out
 
 
+def certified_step(plant, V, ev, cap):
+    """min(cap, s): the policy that ev evaluates, moved by eta V, stays
+    stabilizing for every 0 <= eta <= s.
+
+    s is the larger of two bounds along Delta = E(V) from Z = L(A_cl^T, I),
+    which ev holds: the certificate-type bound 1 / (2 lambda_max(Z)
+    ||Delta||_2), and lyapunov_step_bound with N = I, factored as
+    Delta = diag(B, I_q) [[0, dC], [dB C, dA]]. Neither dominates the
+    other. The cheap parts come first: since lambda_max(Z) <= ||Z||_F
+    <= tr Z and ||Delta||_2 <= ||Delta||_F, 1 / (2 ||Z||_F ||Delta||_F)
+    is at most the first bound, and once a lower bound on s reaches cap,
+    cap is returned without the rest. Returns cap for V = 0.
+    """
+    E = _embed_E(plant, V)
+    fro = np.linalg.norm(E)
+    if fro == 0.0 or 2.0 * cap * np.linalg.norm(ev.Z) * fro <= 1.0:
+        return cap
+    s = 1.0 / (2.0 * sym_lambda_max(ev.Z) * spectral_norm(E))
+    if s >= cap:
+        return cap
+    dA, dB, dC = V
+    n, m, q = plant.n, plant.m, dA.shape[0]
+    Vf = np.zeros((m + q, n + q))
+    Vf[:m, n:] = dC
+    Vf[m:, :n] = dB @ plant.C
+    Vf[m:, n:] = dA
+    s = max(s, lyapunov_step_bound(ev.A_cl, _blockdiag(plant.B, np.eye(q)), Vf, ev.Z,
+                                   np.eye(n + q)))
+    return min(cap, s)
+
+
 def _check_weights(weights):
     w1, w2, w3 = weights
     if not (w1 > 0.0 and w2 >= 0.0 and w3 >= 0.0):
@@ -216,17 +266,23 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
                alpha=0.5, tol=1e-8, max_iter=1000):
     """Gradient descent over dynamic policies.
 
-    mode 'euclidean' uses the raw partials; 'km_riemannian' uses the KM
-    gradient (full order, minimal policies). No closed-form certificate
-    exists for dynamic policies, so each step is verify-then-backtrack.
-    The returned final policy carries an is_minimal flag so the caller can
-    invoke the global-optimality characterization.
+    mode 'euclidean' uses the raw partials, and each line search starts at
+    min(alpha, s), s the certified bound of certified_step from the
+    iterate's own evaluation, warm-started after the first iteration as in
+    descend from the slope <grad J, V> = -||grad J||^2. 'km_riemannian'
+    uses the KM gradient (full order, minimal policies) and tries alpha
+    first: ||E(V)|| is not similarity-invariant, so neither is that bound.
+    Either way each candidate is verified (membership, then a strict
+    decrease of J) and halved until one passes. The returned final policy
+    carries an is_minimal flag so the caller can invoke the
+    global-optimality characterization.
     """
-    if plant.n != Kd0.order and mode == "km_riemannian":
+    km = mode == "km_riemannian"
+    if plant.n != Kd0.order and km:
         raise ContractError("lqg_gd_run: KM mode requires a full-order policy")
 
     def direction(Kd, ev, it):
-        if mode == "km_riemannian":
+        if km:
             g = km_grad(plant, Kd, weights, ev)
         else:
             g = lqg_grad(plant, Kd, ev)
@@ -237,8 +293,11 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
         evaluate=lambda Kd: lqg_eval(plant, Kd),
         membership=lambda Kd: stabilizing_radius(closed_loop_matrix_dynamic(plant, Kd)),
         direction=direction,
-        initial_step=lambda Kd, V, ev: alpha,
+        initial_step=(lambda Kd, V, ev: alpha) if km else (
+            lambda Kd, V, ev: certified_step(plant, V, ev, alpha)),
         move=_policy_add,
         accept=decrease,
-        tol=tol, max_iter=max_iter)
+        tol=tol, max_iter=max_iter,
+        # V = -grad J in Euclidean mode
+        slope=None if km else lambda Kd, ev, V: -sum(float(np.sum(x * x)) for x in V))
     return Kd, trace, is_minimal(Kd)

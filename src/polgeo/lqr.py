@@ -225,15 +225,17 @@ def certified_step(plant, K, V, ev=None):
     Given K's evaluation ev, no Lyapunov equation is solved: both Lyapunov
     functions of the closed loop that ev holds bound the step, and the
     larger bound is returned. P_K certifies A_cl + eta BV with
-    N = Q + K^T R K, when N is positive definite (Q singular can make it
-    singular or nearly so); Y_K certifies its transpose with N = Sigma,
-    always positive definite. Without ev, the certificate s_K(V)."""
+    N = Q + K^T R K, when its Cholesky factorization succeeds (Q singular
+    can make N singular or nearly so); Y_K certifies its transpose with
+    N = Sigma, whose factor the plant holds. Without ev, the certificate
+    s_K(V)."""
     if ev is None:
         return stability_certificate(plant, K, V)
-    s = lyapunov_step_bound(ev.A_cl.T, V.T, plant.B.T, ev.Y_K, plant.Sigma)
+    s = lyapunov_step_bound(ev.A_cl.T, V.T, plant.B.T, ev.Y_K, plant.Sigma_chol)
     try:
-        return max(s, lyapunov_step_bound(ev.A_cl, plant.B, V, ev.P_K,
-                                          plant.Q + K.K.T @ plant.R @ K.K))
+        return max(s, lyapunov_step_bound(
+            ev.A_cl, plant.B, V, ev.P_K,
+            np.linalg.cholesky(plant.Q + K.K.T @ plant.R @ K.K)))
     except np.linalg.LinAlgError:
         return s
 

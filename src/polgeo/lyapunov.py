@@ -31,46 +31,72 @@ def _sq(X):
     return float(v @ v)
 
 
+def _norm(X):
+    """Frobenius norm of a matrix, or the array of those of the slices of a
+    (k, n, n) stack."""
+    if X.ndim == 2:
+        return math.sqrt(_sq(X))
+    return np.sqrt(np.einsum("ijk,ijk->i", X, X))
+
+
+def _largest_norm(X):
+    """Frobenius norm of a matrix, or the largest over the slices of a stack."""
+    r = _norm(X)
+    return r if X.ndim == 2 else float(r.max())
+
+
+def _within(X, bound, least):
+    """Whether ||X||_F <= bound, for a stack slice by slice against each
+    slice's bound (least is the smallest); False when X is not finite. A
+    stack whose whole norm is within least passes without the slices."""
+    if math.sqrt(_sq(X)) <= least:
+        return True
+    return X.ndim == 3 and bool((_norm(X) <= bound).all())
+
+
 def dlyap(A, Q, Qt=None):
     """Solve P = A P A^T + Q by Smith doubling; given Qt, also solve
-    Pt = A^T Pt A + Qt on the same powers of A.
+    Pt = A^T Pt A + Qt on the same powers of A, for each slice when Qt is a
+    (k, n, n) stack (Pt is then the stack of solutions).
 
     P_{k+1} = P_k + M_k P_k M_k^T (and Pt_{k+1} = Pt_k + M_k^T Pt_k M_k)
     with M_{k+1} = M_k^2, starting from P_0 = Q, Pt_0 = Qt, M_0 = A, until
     ||M_k||_F^2 <= SMITH_TOL. Raises NotSchurStableError when it does not
-    converge (rho(A) >= 1): ||M_k||_F^2, ||P_k||_F or ||Pt_k||_F exceeds
-    DIVERGENCE_FACTOR * (1 + its start) or is not finite, or M_k misses
-    SMITH_TOL after SMITH_MAX_ITER doublings. The growth bounds stop the
-    iteration long before a product could overflow. The residual is the
-    larger of the two fixed-point residuals.
+    converge (rho(A) >= 1): ||M_k||_F^2, ||P_k||_F or the norm of a slice
+    of Pt_k exceeds DIVERGENCE_FACTOR * (1 + its start) or is not finite,
+    or M_k misses SMITH_TOL after SMITH_MAX_ITER doublings. The growth
+    bounds stop the iteration long before a product could overflow. The
+    residual is the largest of the fixed-point residuals, slice by slice.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
         raise DimensionError(f"dlyap: A must be square, got {A.shape}")
     rhs = [np.asarray(R, dtype=float) for R in ((Q,) if Qt is None else (Q, Qt))]
-    for R in rhs:
-        if R.shape != (n, n):
+    for R, ndims in zip(rhs, ((2,), (2, 3))):
+        if R.ndim not in ndims or R.shape[-2:] != (n, n):
             raise DimensionError(f"dlyap: Q shape {R.shape} does not match A {A.shape}")
     P = [R.copy() for R in rhs]
-    p_bound = [DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(R)) for R in rhs]
+    p_bound = [DIVERGENCE_FACTOR * (1.0 + _norm(R)) for R in rhs]
+    p_least = [b if R.ndim == 2 else b.min() for R, b in zip(rhs, p_bound)]
     M = A.copy()
     m_bound = DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(A) ** 2)
     for iterations in range(SMITH_MAX_ITER + 1):
         m2 = _sq(M)
         # NaN and inf fail these comparisons
         if not (m2 <= m_bound
-                and all(math.sqrt(_sq(Pk)) <= b for Pk, b in zip(P, p_bound))):
+                and all(map(_within, P, p_bound, p_least))):
             raise NotSchurStableError("dlyap: Smith iteration diverged (rho(A) >= 1?)")
         if m2 <= SMITH_TOL:
             break
         if iterations == SMITH_MAX_ITER:
             raise NotSchurStableError(
                 f"dlyap: no convergence in {SMITH_MAX_ITER} doublings (rho(A) >= 1?)")
-        # zip stops at P's length: M_k serves P, its transpose Pt
+        # zip stops at P's length: M_k serves P, its transpose Pt (each
+        # slice of a stack: the products broadcast)
         P = [Pk + X @ Pk @ X.T for Pk, X in zip(P, (M, M.T))]
         M = M @ M
-    residual = max(float(np.linalg.norm(Pk - X @ Pk @ X.T - R))
+    residual = max(_largest_norm(Pk - X @ Pk @ X.T - R)
                    for Pk, X, R in zip(P, (A, A.T), rhs))
     return LyapSolution(P=P[0], iterations=iterations, residual=residual,
                         Pt=None if Qt is None else P[1])

@@ -26,9 +26,13 @@ from .numerics import (
 STABILITY_MARGIN = 1e-12
 
 
-def _check_psd(M, name, definite=False):
+def _check_symmetric(M, name):
     if np.linalg.norm(M - M.T) > 1e-10 * (1.0 + np.linalg.norm(M)):
         raise ContractError(f"{name} must be symmetric")
+
+
+def _check_psd(M, name, definite=False):
+    _check_symmetric(M, name)
     lam = sym_lambda_min(M)
     if lam <= 0.0 if definite else lam < -1e-10:
         kind = "positive definite" if definite else "PSD"
@@ -41,7 +45,8 @@ class Plant:
 
     x_{t+1} = A x_t + B u_t + w_t,  y_t = C x_t + v_t,
     w ~ N(0, W), v ~ N(0, V); quadratic weights (Q, R); Sigma is the
-    state-noise / initial covariance used by the LQR cost.
+    state-noise / initial covariance used by the LQR cost, and Sigma_chol
+    its lower Cholesky factor, which decided that Sigma is positive definite.
     """
 
     A: np.ndarray
@@ -52,6 +57,7 @@ class Plant:
     V: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    Sigma_chol: np.ndarray
 
     @property
     def n(self):
@@ -88,12 +94,20 @@ class Plant:
                                (V, (p, p), "V"), (Q, (n, n), "Q"), (R, (m, m), "R")):
             if M.shape != shape:
                 raise ContractError(f"{name} must have shape {shape}, got {M.shape}")
-        _check_psd(Sigma, "Sigma", definite=True)
+        # the factor the LQR step bound divides by: one answer to "is Sigma
+        # positive definite?"
+        _check_symmetric(Sigma, "Sigma")
+        try:
+            Sigma_chol = np.linalg.cholesky(Sigma)
+        except np.linalg.LinAlgError as exc:
+            raise ContractError("Sigma must be positive definite; "
+                                "its Cholesky factorization fails") from exc
         _check_psd(V, "V", definite=True)
         _check_psd(R, "R", definite=True)
         _check_psd(Q, "Q")
         _check_psd(W, "W")
-        return Plant(A=A, B=B, C=C, Sigma=Sigma, W=W, V=V, Q=Q, R=R)
+        return Plant(A=A, B=B, C=C, Sigma=Sigma, W=W, V=V, Q=Q, R=R,
+                     Sigma_chol=Sigma_chol)
 
 
 @dataclass(frozen=True)
@@ -253,16 +267,18 @@ def stability_certificate(plant, K, V):
     return 1.0 / (2.0 * lam * bnorm)
 
 
-def lyapunov_step_bound(Acl, B, V, P, N):
+def lyapunov_step_bound(Acl, B, V, P, L):
     """Safe step bound along Delta = B V from a Lyapunov function at hand.
 
-    Given P = Acl^T P Acl + N with P > 0 and N = L L^T > 0, let x and z be
-    the largest eigenvalues of L^-1 (Acl^T P Delta + Delta^T P Acl) L^-T and
+    Given P = Acl^T P Acl + N with P > 0 and N = L L^T > 0, L the lower
+    Cholesky factor of N (the caller factors N: np.linalg.cholesky raises
+    LinAlgError when N is not positive definite), let x and z be the
+    largest eigenvalues of L^-1 (Acl^T P Delta + Delta^T P Acl) L^-T and
     of L^-1 Delta^T P Delta L^-T. Returns s = 1 / (x + sqrt(x^2 + 2z)), the
     positive root of x eta + z eta^2 = 1/2, or +inf for Delta = 0. For
     0 <= eta <= s, (Acl + eta Delta)^T P (Acl + eta Delta) - P <= -N/2 < 0,
     so Acl + eta Delta is Schur stable, the endpoint included. Raises
-    np.linalg.LinAlgError when N is not positive definite (Cholesky fails).
+    np.linalg.LinAlgError when L is singular.
 
     B is n x k and V is k x n, so both matrices have rank at most 2k. With
     [F, U] = L^-1 [Acl^T P B, V^T] = Q_Z [R_1, R_2] (a thin QR), they are
@@ -271,7 +287,7 @@ def lyapunov_step_bound(Acl, B, V, P, N):
     least 0 when 2k < n (the rest of the spectrum is 0).
     """
     n, k = B.shape
-    Z = np.linalg.solve(np.linalg.cholesky(N), np.hstack([Acl.T @ (P @ B), V.T]))
+    Z = np.linalg.solve(L, np.hstack([Acl.T @ (P @ B), V.T]))
     R = np.linalg.qr(Z, mode="r")
     R1, R2 = R[:, :k], R[:, k:]
     C = R1 @ R2.T

@@ -273,6 +273,21 @@ def certificate_bound(plant, K, V, cap):
     return min(cap, max(s_P, s_Y))
 
 
+def lqg_bound_reference(plant, Kd, V, cap):
+    """min(cap, s) for the dynamic policy Kd along the tangent V: s is the
+    larger of the bound from Z = A_cl^T Z A_cl + I along Delta = E(V) and
+    1 / (2 lambda_max(Z) ||Delta||_2), with Z by a Kronecker solve and
+    dense eigenvalues and singular values."""
+    dA, dB, dC = V
+    n = plant.n
+    Acl = np.block([[plant.A, plant.B @ Kd.C_K], [Kd.B_K @ plant.C, Kd.A_K]])
+    Delta = np.block([[np.zeros((n, n)), plant.B @ dC], [dB @ plant.C, dA]])
+    eye = np.eye(len(Acl))
+    Z = kron_lyap(Acl.T, eye)
+    s_cert = 1.0 / (2.0 * np.linalg.eigvalsh(Z)[-1] * np.linalg.norm(Delta, 2))
+    return min(cap, max(lyapunov_bound_reference(Acl, Delta, Z, eye), s_cert))
+
+
 def structured_optimum_reference(plant, mask, K0):
     """Stationary point of J over gains supported on mask, by Newton's method
     on the free entries from K0: the gradient (R K + B^T P A_cl) Y with P and

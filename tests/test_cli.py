@@ -138,6 +138,25 @@ def test_exit_2_missing_K0_written_to_summary(tmp_path):
     assert any("options.K0" in v for v in summary["error"]["violations"])
 
 
+def test_exit_2_sigma_without_cholesky_factor(tmp_path):
+    # the plant of test_plant_rejects_sigma_without_cholesky_factor: its
+    # lqr_gd run exited 1 with a traceback and wrote no summary.json
+    from test_policy_core import SIGMA_NO_CHOLESKY, sigma_reproducer_AB
+
+    A, B = sigma_reproducer_AB()
+    plant = {"A": A.tolist(), "B": B.tolist(), "Sigma": SIGMA_NO_CHOLESKY}
+    plant |= {name: np.eye(2).tolist() for name in ("C", "W", "V", "Q", "R")}
+    raw = {"task": "lqr_gd", "plant": plant,
+           "options": {"K0": [[0.0, 0.0], [0.0, 0.0]], "max_iter": 5}}
+    out = tmp_path / "out"
+    code = cli.main(["lqr_gd", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
+    assert code == 2
+    error = read_summary(out)["error"]
+    assert error["kind"] == "config"
+    assert any("Sigma must be positive definite" in v for v in error["violations"])
+
+
 def test_exit_3_infeasible_start(tmp_path):
     raw = {"task": "lqr_gd", "plant": scalar_plant_dict(a=2.0),
            "options": {"K0": [[0.0]]}}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -27,7 +28,13 @@ from polgeo import (
     transform_tangent,
 )
 from polgeo import lqg
-from conftest import km_grad_by_basis, kron_lyap, record_first_steps, record_iterates
+from conftest import (
+    km_grad_by_basis,
+    kron_lyap,
+    lqg_bound_reference,
+    record_first_steps,
+    record_iterates,
+)
 
 SADDLE_J = 5.263157894736842  # 1 / (1 - 0.81)
 
@@ -378,12 +385,47 @@ def test_lqg_gd_trace_rho_is_the_iterates(ab09_plant, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["euclidean", "km_riemannian"])
 def test_lqg_gd_tries_alpha_first(ab09_plant, monkeypatch, mode):
-    # only certified static descent warm-starts its line searches
+    # KM descent tries alpha first on every line search. Euclidean descent
+    # starts at the certified min(alpha, s) and warm-starts later searches,
+    # so no first step exceeds min(alpha, s) of its iterate, nor alpha
+    iterates = record_iterates(monkeypatch, lqg, "lqg_grad")
     steps = record_first_steps(monkeypatch)
     _, trace, _ = lqg_gd_run(ab09_plant, DynamicPolicy.create([[0.5]], [[0.3]], [[-0.2]]),
                              mode=mode, alpha=2.0, tol=1e-8, max_iter=300)
     assert len(steps) >= len(trace) - 1 > 0
-    assert set(steps) == {2.0}
+    if mode == "km_riemannian":
+        assert set(steps) == {2.0}
+        return
+    bounds = [lqg_bound_reference(ab09_plant, Kd, tuple(-x for x in lqg_grad(ab09_plant, Kd)),
+                                  2.0) for Kd in iterates[:len(steps)]]
+    assert steps[0] == pytest.approx(bounds[0], rel=1e-9)
+    assert all(eta <= b * (1 + 1e-9) for eta, b in zip(steps, bounds))
+    assert max(steps) <= 2.0 and min(bounds) < 2.0
+
+
+def test_lqg_certified_step_safety():
+    # modelled on criterion 5: every step up to and including the certified
+    # bound s, along a random tangent of a random stabilizing dynamic policy,
+    # keeps the closed loop stabilizing
+    rng = np.random.default_rng(24)
+    steps = violations = 0
+    for _ in range(1500):
+        n, q = (int(x) for x in rng.integers(1, 5, size=2))
+        m, p = (int(x) for x in rng.integers(1, 3, size=2))
+        plant = random_plant(rng, n, m, p, scale=float(rng.uniform(0.1, 0.95)))
+        scale = float(rng.uniform(0.1, 1.0))
+        while True:
+            Kd = DynamicPolicy.create(*(scale * x for x in random_tangent(rng, q, p, m)))
+            if is_stabilizing_dynamic(plant, Kd):
+                break
+            scale *= 0.5
+        V = tuple(float(rng.uniform(0.1, 3.0)) * x for x in random_tangent(rng, q, p, m))
+        s = lqg.certified_step(plant, V, lqg_eval(plant, Kd), math.inf)
+        for eta in (s * float(rng.uniform(1e-6, 1.0)), s):
+            steps += 1
+            violations += not is_stabilizing_dynamic(plant, lqg._policy_add(Kd, V, eta))
+    assert steps == 3000
+    assert violations == 0
 
 
 def test_lqg_gd_terminates_at_transformed_optimum(rng):

@@ -329,11 +329,15 @@ def test_gd_zero_Q_steps_by_the_Y_bound(monkeypatch, direction):
     _, K0 = dare_solve(Plant.create(A=A, B=B))
     bound, calls = lqr.lyapunov_step_bound, []
 
-    def spy(Acl, Bf, V, P, N):
-        # (is this Y_K's bound, the bound or None when Cholesky fails)
-        calls.append((N is plant.Sigma, None))
-        s = bound(Acl, Bf, V, P, N)
-        calls[-1] = (N is plant.Sigma, s)
+    def spy(Acl, Bf, V, P, L):
+        # Y_K's bound opens each certified step as [its bound, None]; P_K's
+        # bound, reached only when Q + K^T R K has a Cholesky factor, fills
+        # in the None
+        s = bound(Acl, Bf, V, P, L)
+        if L is plant.Sigma_chol:
+            calls.append([s, None])
+        else:
+            calls[-1][1] = s
         return s
 
     monkeypatch.setattr(lqr, "lyapunov_step_bound", spy)
@@ -341,11 +345,10 @@ def test_gd_zero_Q_steps_by_the_Y_bound(monkeypatch, direction):
     Jstar = lqr_eval(plant, dare_solve(plant)[1]).J
     assert trace[-1].iter < 1000
     assert abs(trace[-1].J - Jstar) <= 1e-12 * Jstar
-    s_Y = [s for is_Y, s in calls if is_Y]
-    s_P = [s for is_Y, s in calls if not is_Y]
-    assert len(s_Y) == len(s_P) >= len(trace) - 1
+    s_P = [p for _, p in calls]
+    assert len(calls) >= len(trace) - 1
     assert s_P.count(None) > len(s_P) // 2
-    assert all(p is None or p <= y for p, y in zip(s_P, s_Y))
+    assert all(p is None or p <= y for y, p in calls)
 
 
 def test_gd_fixed_step_tries_its_step_first(rng, monkeypatch):

@@ -95,6 +95,48 @@ def test_dlyap_paired_nonfinite_side_rejected():
             dlyap(*args)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_dlyap_stacked_sides_match_paired_solves(rng, n):
+    # each slice of a (k, n, n) stack is solved as the paired solve of that
+    # slice would solve it, to the bit, in the same doublings
+    for _ in range(5):
+        A = stable_matrix(rng, n, scale=0.9)
+        Q = psd_matrix(rng, n)
+        stack = np.stack([psd_matrix(rng, n) for _ in range(3)])
+        sol = dlyap(A, Q, stack)
+        assert sol.Pt.shape == (3, n, n)
+        pairs = [dlyap(A, Q, Qt) for Qt in stack]
+        for Pt, pair in zip(sol.Pt, pairs):
+            assert np.array_equal(Pt, pair.Pt)
+            assert np.array_equal(sol.P, pair.P) and sol.iterations == pair.iterations
+        assert sol.residual == pytest.approx(max(pair.residual for pair in pairs), rel=1e-12)
+
+
+@pytest.mark.parametrize("A, Q", [
+    (np.diag([1.5, 0.5]), np.diag([0.0, 1.0])),
+    (np.eye(2), np.zeros((2, 2))),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+])
+def test_dlyap_stacked_unstable_rejected_on_each_slice(A, Q):
+    # the inputs of the single solve on one slice of a stack, the other
+    # slice zero or large: each slice is held to its own bound
+    zero = np.zeros((2, 2))
+    for stack in ([zero, Q], [Q, zero], [Q, 1e12 * np.eye(2)]):
+        with pytest.raises(NotSchurStableError):
+            dlyap(A.T, zero, np.stack(stack))
+
+
+def test_dlyap_stack_nonfinite_slice_and_bad_shapes_rejected():
+    A, Q = 0.5 * np.eye(2), np.eye(2)
+    with pytest.raises(NotSchurStableError):
+        dlyap(A, Q, np.stack([Q, np.full((2, 2), np.nan)]))
+    for bad in (np.zeros((2, 3, 3)), np.zeros((1, 2, 2, 2))):
+        with pytest.raises(DimensionError):
+            dlyap(A, Q, bad)
+    with pytest.raises(DimensionError):
+        dlyap(A, np.stack([Q, Q]))
+
+
 def test_dlyap_symmetric_psd(rng):
     for _ in range(50):
         n = int(rng.integers(1, 6))

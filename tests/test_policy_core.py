@@ -48,6 +48,30 @@ def test_plant_rejects_non_pd_R():
         Plant.create(A=np.eye(1), B=np.eye(1), R=np.array([[0.0]]))
 
 
+# eigvalsh puts its smallest eigenvalue at 2.8e-17 > 0, but its Cholesky
+# factorization fails: certified LQR descent let numpy's LinAlgError escape
+# from the Y_K step bound on this Sigma before Plant.create decided positive
+# definiteness by the same factorization
+SIGMA_NO_CHOLESKY = [[0.4678843443261497, 0.49896751864288585],
+                     [0.49896751864288585, 0.5321156556738502]]
+
+
+def sigma_reproducer_AB():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((2, 2))
+    A *= 0.9 / spectral_radius(A)
+    return A, rng.standard_normal((2, 2))
+
+
+def test_plant_rejects_sigma_without_cholesky_factor():
+    A, B = sigma_reproducer_AB()
+    assert np.linalg.eigvalsh(SIGMA_NO_CHOLESKY)[0] > 0.0
+    with pytest.raises(ContractError, match="Sigma must be positive definite"):
+        Plant.create(A=A, B=B, Sigma=SIGMA_NO_CHOLESKY)
+    plant = Plant.create(A=A, B=B, Sigma=np.diag([2.0, 0.5]))
+    assert np.array_equal(plant.Sigma_chol, np.linalg.cholesky(plant.Sigma))
+
+
 def test_static_membership_scalar():
     plant = Plant.create(A=np.array([[1.0]]), B=np.array([[1.0]]))
     assert is_stabilizing_static(plant, np.array([[-1.0]]))
@@ -165,11 +189,14 @@ def test_lyapunov_step_bound_scalar_closed_form():
 
 
 def test_lyapunov_step_bound_zero_direction_and_singular_N(rng):
+    # a singular N has no Cholesky factor, and a singular factor is refused
     Acl = np.array([[0.5, 0.1], [0.0, 0.3]])
     N = np.eye(2)
     P = kron_lyap(Acl.T, N)
     assert lyapunov_step_bound(Acl, np.ones((2, 1)), np.zeros((1, 2)), P, N) == math.inf
     for singular in (np.zeros((2, 2)), np.diag([1.0, 0.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
         with pytest.raises(np.linalg.LinAlgError):
             lyapunov_step_bound(Acl, np.ones((2, 1)), np.ones((1, 2)), P, singular)
 
@@ -186,7 +213,8 @@ def test_lyapunov_step_bound_matches_dense_reference(rng, n, k):
         P = kron_lyap(Acl.T, N)
         B, V = rng.standard_normal((n, k)), rng.standard_normal((k, n))
         expected = lyapunov_bound_reference(Acl, B @ V, P, N)
-        assert abs(lyapunov_step_bound(Acl, B, V, P, N) - expected) <= 1e-9 * expected
+        assert (abs(lyapunov_step_bound(Acl, B, V, P, np.linalg.cholesky(N)) - expected)
+                <= 1e-9 * expected)
 
 
 def test_lyapunov_step_bound_safety():
@@ -207,8 +235,8 @@ def test_lyapunov_step_bound_safety():
         V = rng.standard_normal((m, n)) * float(rng.uniform(0.1, 3.0))
         ev = lqr_eval(plant, K)
         for s in (lyapunov_step_bound(ev.A_cl, plant.B, V, ev.P_K,
-                                      plant.Q + K.K.T @ plant.R @ K.K),
-                  lyapunov_step_bound(ev.A_cl.T, V.T, plant.B.T, ev.Y_K, plant.Sigma)):
+                                      np.linalg.cholesky(plant.Q + K.K.T @ plant.R @ K.K)),
+                  lyapunov_step_bound(ev.A_cl.T, V.T, plant.B.T, ev.Y_K, plant.Sigma_chol)):
             for eta in (s * float(rng.uniform(1e-6, 1.0)), s):
                 steps += 1
                 violations += not is_stabilizing_static(plant, K.K + eta * V)
