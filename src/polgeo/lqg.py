@@ -39,14 +39,15 @@ from .policy_core import (
 
 @dataclass(frozen=True)
 class LqgEval:
-    """The cost, both Gramian-type solutions X and Y, and Z = L(A_cl^T, I)
-    with its closed loop A_cl, which bound the step (certified_step)."""
+    """The cost, both Gramian-type solutions X and Y and the closed loop
+    A_cl; Z = L(A_cl^T, I), which bounds the step (certified_step), when
+    lqg_eval was asked for it."""
 
     J: float
     X: np.ndarray
     Y: np.ndarray
-    Z: np.ndarray
     A_cl: np.ndarray
+    Z: np.ndarray | None = None
 
 
 def _blockdiag(M1, M2):
@@ -58,25 +59,20 @@ def _blockdiag(M1, M2):
     return out
 
 
-def lqg_eval(plant, Kd):
-    """LQG cost via both Lyapunov solves, cross-checked. Z = L(A_cl^T, I)
-    is a third right-hand side of the same doubling."""
+def lqg_eval(plant, Kd, with_Z=False):
+    """LQG cost via both Lyapunov solves, cross-checked. with_Z also solves
+    Z = L(A_cl^T, I), as a third right-hand side of the same doubling; X, Y
+    and J are the same either way."""
     Acl = closed_loop_matrix_dynamic(plant, Kd)
-    n, k = plant.n, len(Acl)
     noise = _blockdiag(plant.W, Kd.B_K @ plant.V @ Kd.B_K.T)
-    # the right-hand sides of Y and Z, built in place
-    rhs = np.zeros((2, k, k))
-    rhs[0, :n, :n] = plant.Q
-    rhs[0, n:, n:] = Kd.C_K.T @ plant.R @ Kd.C_K
-    rhs[1].flat[::k + 1] = 1.0
-    weight = rhs[0]
-    sol = dlyap(Acl, noise, rhs)
-    X, (Y, Z) = sol.P, sol.Pt
+    weight = _blockdiag(plant.Q, Kd.C_K.T @ plant.R @ Kd.C_K)
+    sol = dlyap(Acl, noise, np.stack([weight, np.eye(len(Acl))]) if with_Z else weight)
+    X, (Y, Z) = sol.P, sol.Pt if with_Z else (sol.Pt, None)
     J = float(np.trace(weight @ X))
     J_dual = float(np.trace(noise @ Y))
     if abs(J - J_dual) > 1e-9 * (1.0 + abs(J)):
         raise InternalInvariantError("lqg_eval: dual cost expressions disagree")
-    return LqgEval(J=J, X=X, Y=Y, Z=Z, A_cl=Acl)
+    return LqgEval(J=J, X=X, Y=Y, A_cl=Acl, Z=Z)
 
 
 def lqg_grad(plant, Kd, ev=None):
@@ -168,8 +164,8 @@ def certified_step(plant, V, ev, cap):
     stabilizing for every 0 <= eta <= s.
 
     s is the larger of two bounds along Delta = E(V) from Z = L(A_cl^T, I),
-    which ev holds: the certificate-type bound 1 / (2 lambda_max(Z)
-    ||Delta||_2), and lyapunov_step_bound with N = I, factored as
+    which ev holds (lqg_eval with with_Z): the certificate-type bound
+    1 / (2 lambda_max(Z) ||Delta||_2), and lyapunov_step_bound with N = I, factored as
     Delta = diag(B, I_q) [[0, dC], [dB C, dA]]. Neither dominates the
     other. The cheap parts come first: since lambda_max(Z) <= ||Z||_F
     <= tr Z and ||Delta||_2 <= ||Delta||_F, 1 / (2 ||Z||_F ||Delta||_F)
@@ -290,7 +286,7 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
 
     Kd, trace = descend(
         "lqg_gd_run", Kd0,
-        evaluate=lambda Kd: lqg_eval(plant, Kd),
+        evaluate=lambda Kd: lqg_eval(plant, Kd, with_Z=not km),
         membership=lambda Kd: stabilizing_radius(closed_loop_matrix_dynamic(plant, Kd)),
         direction=direction,
         initial_step=(lambda Kd, V, ev: alpha) if km else (

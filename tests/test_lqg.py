@@ -420,7 +420,7 @@ def test_lqg_certified_step_safety():
                 break
             scale *= 0.5
         V = tuple(float(rng.uniform(0.1, 3.0)) * x for x in random_tangent(rng, q, p, m))
-        s = lqg.certified_step(plant, V, lqg_eval(plant, Kd), math.inf)
+        s = lqg.certified_step(plant, V, lqg_eval(plant, Kd, with_Z=True), math.inf)
         for eta in (s * float(rng.uniform(1e-6, 1.0)), s):
             steps += 1
             violations += not is_stabilizing_dynamic(plant, lqg._policy_add(Kd, V, eta))
