@@ -92,6 +92,19 @@ def test_eval_rejects_unstable():
                 gramians(plant, Kd)
 
 
+def test_eval_with_Z_solves_a_third_side(rng):
+    # with_Z adds Z = L(A_cl^T, I) to the doubling and leaves J, X and Y
+    # as they are, to the bit
+    for _ in range(10):
+        plant = random_plant(rng)
+        Kd = random_minimal_policy(rng, plant)
+        ev, evZ = lqg_eval(plant, Kd), lqg_eval(plant, Kd, with_Z=True)
+        assert ev.Z is None
+        assert evZ.J == ev.J and np.array_equal(evZ.X, ev.X) and np.array_equal(evZ.Y, ev.Y)
+        Z = kron_lyap(evZ.A_cl.T, np.eye(len(evZ.A_cl)))
+        assert np.max(np.abs(evZ.Z - Z)) <= 1e-10 * (1.0 + np.max(np.abs(Z)))
+
+
 def test_eval_dual_cost_mismatch_is_internal_invariant(ab09_plant, lqg_dual_cost_mismatch):
     Kd = DynamicPolicy.create([[0.5]], [[0.0]], [[0.0]])
     with pytest.raises(InternalInvariantError, match="dual cost"):
