@@ -265,9 +265,10 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
     mode 'euclidean' uses the raw partials, and each line search starts at
     min(alpha, s), s the certified bound of certified_step from the
     iterate's own evaluation, warm-started after the first iteration as in
-    descend from the slope <grad J, V> = -||grad J||^2. 'km_riemannian'
-    uses the KM gradient (full order, minimal policies) and tries alpha
-    first: ||E(V)|| is not similarity-invariant, so neither is that bound.
+    descend, with regrow, from the slope <grad J, V> = -||grad J||^2 and the
+    last decrease of J. 'km_riemannian' uses the KM gradient (full order,
+    minimal policies) and tries alpha first: ||E(V)|| is not
+    similarity-invariant, so neither is that bound.
     Either way each candidate is verified (membership, then a strict
     decrease of J) and halved until one passes. The returned final policy
     carries an is_minimal flag so the caller can invoke the
@@ -295,5 +296,6 @@ def lqg_gd_run(plant, Kd0, mode="euclidean", weights=(1.0, 1.0, 1.0),
         accept=decrease,
         tol=tol, max_iter=max_iter,
         # V = -grad J in Euclidean mode
-        slope=None if km else lambda Kd, ev, V: -sum(float(np.sum(x * x)) for x in V))
+        slope=None if km else lambda Kd, ev, V: -sum(float(np.sum(x * x)) for x in V),
+        regrow=True)
     return Kd, trace, is_minimal(Kd)

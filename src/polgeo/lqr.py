@@ -254,7 +254,7 @@ def initial_eta(plant, K, V, step_rule, ev=None):
 
 
 def descend(name, x0, evaluate, membership, direction, initial_step, move,
-            accept, tol, max_iter, slope=None):
+            accept, tol, max_iter, slope=None, regrow=False):
     """The certified descent loop that every gradient driver configures.
 
     membership(x) is the spectral radius of x's closed loop when x passes
@@ -268,7 +268,12 @@ def descend(name, x0, evaluate, membership, direction, initial_step, move,
     min(initial_step(x, V, ev), eta_prev <grad J_prev, V_prev> / <grad J, V>),
     the step whose first-order decrease repeats the last accepted step's
     (Nocedal & Wright, Numerical Optimization, eq. 3.59), so it never
-    exceeds initial_step. The accepted candidate's evaluation and spectral
+    exceeds initial_step. With regrow it is the larger of that step and
+    2 (J - J_prev) / <grad J, V> (their eq. 3.60, from the quadratic through
+    J_prev, J and the last slope), which lets a step grow back once steps
+    decrease J by more than their first-order prediction, as when leaving a
+    saddle; without it one small step throttles every later search while
+    the slope grows. The accepted candidate's evaluation and spectral
     radius carry over to the next iteration, so no iterate is evaluated or
     eigensolved twice. Raises InfeasibleError when x0 fails membership.
 
@@ -283,7 +288,7 @@ def descend(name, x0, evaluate, membership, direction, initial_step, move,
         raise InfeasibleError(f"{name}: start is not stabilizing")
     x, ev = x0, evaluate(x0)
     trace = []
-    last = None  # eta_prev <grad J_prev, V_prev>, when warm-starting
+    last = None  # the warm start's numerator, when warm-starting
     for it in range(max_iter + 1):
         V, gnorm = direction(x, ev, it)
         stop = gnorm <= tol or it == max_iter
@@ -302,8 +307,11 @@ def descend(name, x0, evaluate, membership, direction, initial_step, move,
         eta, x, r_next, accepted_ev = step
         trace.append(IterTrace(iter=it, J=ev.J, grad_norm=gnorm, step=eta, rho=r))
         r = r_next
+        J_prev = ev.J
         ev = accepted_ev if accepted_ev is not None else evaluate(x)
         last = eta * d if d is not None and d < 0.0 else None
+        if last is not None and regrow:
+            last = min(last, 2.0 * (ev.J - J_prev))
     return x, trace
 
 
