@@ -45,14 +45,12 @@ def _largest_norm(X):
     return r if X.ndim == 2 else float(r.max())
 
 
-def _within(X, bound, least):
+def _within(X, bound):
     """Whether ||X||_F <= bound, slice by slice for a (k, n, n) stack with
-    the array of its slices' bounds; False when X is not finite. least is
-    min(bound): an X whose whole norm is within it is within every slice's
-    bound, which spares a converging stack its slice norms."""
-    if math.sqrt(_sq(X)) <= least:
-        return True
-    return X.ndim == 3 and bool((_norm(X) <= bound).all())
+    the array of its slices' bounds; False when X is not finite. Every bound
+    is at least DIVERGENCE_FACTOR, so an X whose whole norm is within it
+    passes without its slice norms."""
+    return math.sqrt(_sq(X)) <= DIVERGENCE_FACTOR or bool(np.all(_norm(X) <= bound))
 
 
 def dlyap(A, Q, Qt=None):
@@ -79,14 +77,13 @@ def dlyap(A, Q, Qt=None):
             raise DimensionError(f"dlyap: Q shape {R.shape} does not match A {A.shape}")
     P = [R.copy() for R in rhs]
     p_bound = [DIVERGENCE_FACTOR * (1.0 + _norm(R)) for R in rhs]
-    p_least = [float(np.min(b)) for b in p_bound]
     M = A.copy()
     m_bound = DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(A) ** 2)
     for iterations in range(SMITH_MAX_ITER + 1):
         m2 = _sq(M)
         # NaN and inf fail these comparisons
         if not (m2 <= m_bound
-                and all(map(_within, P, p_bound, p_least))):
+                and all(map(_within, P, p_bound))):
             raise NotSchurStableError("dlyap: Smith iteration diverged (rho(A) >= 1?)")
         if m2 <= SMITH_TOL:
             break

@@ -360,6 +360,35 @@ def test_gd_fixed_step_tries_its_step_first(rng, monkeypatch):
     assert set(steps) == {0.3}
 
 
+def test_descend_regrow_leaves_a_saddle_fast():
+    # J(x) = -x^2/2 + x^4/4 from near its saddle at 0: the gradient grows as
+    # x leaves it, so the ratio warm start shrinks every step and stays near
+    # the saddle; regrow lets steps grow back and reaches the minimum J = -1/4.
+    # The cap of 1 bounds every first step either way
+    def run(regrow):
+        steps = []
+
+        def accept(candidate, membership, evaluate, J_ref, eta0):
+            steps.append(eta0)
+            return lqr.decrease(candidate, membership, evaluate, J_ref, eta0)
+
+        _, trace = lqr.descend(
+            "saddle", 1e-3,
+            evaluate=lambda x: SimpleNamespace(J=-x * x / 2 + x ** 4 / 4),
+            membership=lambda x: 0.0,
+            direction=lambda x, ev, it: (x - x ** 3, abs(x - x ** 3)),
+            initial_step=lambda x, V, ev: 1.0,
+            move=lambda x, V, eta: x + eta * V,
+            accept=accept, tol=1e-8, max_iter=100,
+            slope=lambda x, ev, V: -V * V, regrow=regrow)
+        assert max(steps) <= 1.0
+        return trace
+
+    regrown, throttled = run(True), run(False)
+    assert regrown[-1].grad_norm <= 1e-8 and regrown[-1].J == pytest.approx(-0.25)
+    assert len(throttled) == 101 and throttled[-1].J > -0.01
+
+
 @pytest.mark.parametrize("direction", ["euclidean", "riemannian", "pseudo_newton"])
 def test_gd_trace_rho_is_the_iterates(rng, monkeypatch, direction):
     # a step of 2 is rejected (unstable or not decreasing) and halved on most
